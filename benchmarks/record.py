@@ -6,9 +6,8 @@ scenarios of the current optimization work — the noise-aware training step
 (original vs. optimized), the warm vs. exact layer recompile, the batched
 vs. looped Monte Carlo engine, the per-chunk payload of the shared-memory
 network hosting and of the compact stream recipes, the drift timeline sweep
-with its warm re-null price, the device-resident engine behind
-``--device gpu``, the fused mesh column-sweep megakernel against the looped
-reference, and the distributed fleet — a full round trip over a localhost
+with its warm re-null price, the fused mesh column-sweep megakernel against
+the looped reference, and the distributed fleet — a full round trip over a localhost
 2-worker fleet plus the cold-vs-warm transfer bytes of its spec-hash
 artifact cache — the calibrated shape-aware kernel dispatch against the
 static preference order, and the throughput-weighted fleet scheduler
@@ -170,41 +169,6 @@ def record_drift_timeline(config) -> dict:
         "renull_warm_seconds": result.renull_cost.warm_seconds,
         "renull_exact_seconds": result.renull_cost.exact_seconds,
         "renull_speedup": result.renull_cost.speedup,
-    }
-
-
-def record_device_engine(config) -> dict:
-    """The device-resident engine (``--device gpu``) vs the serial CPU path.
-
-    On GPU machines this exercises CuPy; CPU-only machines fall back to the
-    strict mock namespace, where the value of the record is the invariance
-    check (mock results are bit-identical by contract) plus the overhead of
-    the seam, not a speedup.
-    """
-    from repro.arrays import available_array_backends
-    from repro.execution import GpuBackend, default_gpu_array_backend
-
-    preferred = default_gpu_array_backend()
-    available = available_array_backends()
-    array_backend = preferred if preferred in available else "mock_device"
-
-    task = build_trained_spnn(config.training)
-    features = task.test_features[:64]
-    labels = task.test_labels[:64]
-    model = UncertaintyModel.both(0.01)
-    kwargs = dict(iterations=200, rng=7)
-    serial_samples = monte_carlo_accuracy(task.spnn, features, labels, model, **kwargs)
-    backend = GpuBackend(array_backend=array_backend)
-    start = time.perf_counter()
-    device_samples = monte_carlo_accuracy(
-        task.spnn, features, labels, model, backend=backend, **kwargs
-    )
-    device_seconds = time.perf_counter() - start
-    return {
-        "array_backend": array_backend,
-        "seconds": device_seconds,
-        "matches_serial": bool(np.allclose(device_samples, serial_samples)),
-        "bit_identical_to_serial": bool(np.array_equal(device_samples, serial_samples)),
     }
 
 
@@ -572,8 +536,6 @@ def main(argv=None) -> int:
     scenarios["stream_payload"] = record_stream_payload()
     print("recording drift timeline sweep ...")
     scenarios["drift_timeline"] = record_drift_timeline(config)
-    print("recording device-resident engine ...")
-    scenarios["device_engine"] = record_device_engine(config)
     print("recording mesh megakernel sweep ...")
     scenarios["mesh_megakernel"] = record_mesh_megakernel()
     print("recording fleet round trip ...")

@@ -48,7 +48,6 @@ HEADLINE_METRICS: Tuple[Tuple[str, str], ...] = (
     ("shared_network_payload", "reduction"),
     ("stream_payload", "reduction"),
     ("drift_timeline", "renull_speedup"),
-    ("device_engine", "seconds"),
     ("mesh_megakernel", "speedup"),
     ("fleet_round_trip", "seconds"),
     ("artifact_cache_hit", "reduction"),

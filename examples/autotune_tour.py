@@ -1,6 +1,6 @@
 """Autotune tour: calibrate the kernel cost table, watch it steer dispatch.
 
-Walks the whole ``repro.tuning`` loop on the host backend:
+Walks the whole ``repro.tuning`` loop:
 
 1. run the one-shot calibration micro-benchmark (the same measurement
    ``spnn-repro calibrate`` persists under ``~/.cache/spnn-repro/``; here
@@ -26,7 +26,6 @@ import tempfile
 
 import numpy as np
 
-from repro.arrays import HOST_BACKEND
 from repro.arrays.sweep import SweepShape, select_sweep_kernel
 from repro.mesh.mesh import MZIMesh
 from repro.tuning import (
@@ -71,7 +70,7 @@ def main() -> None:
         install_table(table)
         print("\nhinted kernel choice per shape (static order head: fused):")
         for n, batch in PROBE_SHAPES:
-            chosen = select_sweep_kernel(HOST_BACKEND, SweepShape(n, batch, n))
+            chosen = select_sweep_kernel(SweepShape(n, batch, n))
             print(f"  n={n:<3} batch={batch:<5} -> {chosen.name}")
 
         # 4. bit-identity: steering never changes the numbers

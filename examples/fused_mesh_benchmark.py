@@ -3,15 +3,14 @@
 This walkthrough exercises :mod:`repro.arrays`' sweep-kernel registry on a
 paper-plus-size Clements mesh: it lists which kernels are available in this
 environment, checks every one of them against the ``looped`` reference on
-the same packed column program (host kernels bit for bit), and then times
+the same packed column program (bit for bit), and then times
 the ``looped`` vs ``fused`` kernels head to head in the megakernel regime —
 one whole perturbation batch per call, the shape every sigma-folded Monte
 Carlo sweep produces.
 
 It degrades gracefully on machines without the optional accelerators: no
 numba means the ``numba`` kernel reports unavailable (and is skipped, not
-failed); no CuPy means the same for ``cupy_raw``.  The ``looped`` and
-``fused`` kernels are pure NumPy and always present — the registry's
+failed).  The ``looped`` and ``fused`` kernels are pure NumPy and always present — the registry's
 guarantee is that *some* conformant kernel always serves the sweep.
 
 Run::
@@ -33,7 +32,6 @@ if str(REPO_ROOT / "src") not in sys.path:
 import numpy as np  # noqa: E402
 
 from repro.arrays import (  # noqa: E402
-    HOST_BACKEND,
     apply_column_sweep,
     available_sweep_kernels,
     get_sweep_kernel,
@@ -53,8 +51,8 @@ def build_sweep_inputs(n: int, batch: int, seed: int = 3):
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.01), spawn_rngs(seed + 1, batch)
     )
-    components, _ = mesh._blocks_and_phases(perturbation, HOST_BACKEND)
-    program = mesh.column_program(HOST_BACKEND)
+    components, _ = mesh._blocks_and_phases(perturbation)
+    program = mesh.column_program()
     sorted_components = tuple(c[..., program.perm] for c in components)
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
     return program, sorted_components, eye
@@ -68,29 +66,24 @@ def main(argv=None) -> int:
     n, batch, repeats = (16, 128, 1) if args.smoke else (32, 2048, 3)
 
     print("sweep-kernel registry:")
-    available = available_sweep_kernels(HOST_BACKEND)
+    available = available_sweep_kernels()
     for name in sweep_kernel_names():
-        kernel = get_sweep_kernel(name)
-        if not kernel.available():
-            status = "unavailable (optional dependency missing) — skipped"
-        elif not kernel.supports(HOST_BACKEND):
-            status = "available, serves a device backend only"
+        if get_sweep_kernel(name).available():
+            status = "available"
         else:
-            status = "available on the host backend"
+            status = "unavailable (optional dependency missing) — skipped"
         print(f"  {name:9s} {status}")
-    selected = select_sweep_kernel(HOST_BACKEND)
-    print(f"selected for the host backend: {selected.name!r} "
+    selected = select_sweep_kernel()
+    print(f"selected: {selected.name!r} "
           f"(override with REPRO_SWEEP_KERNEL=<{'|'.join(available)}>)")
 
     print(f"\nconformance on a {n}x{n} Clements mesh, batch={batch}:")
     program, components, eye = build_sweep_inputs(n, batch)
-    reference = np.asarray(eye).copy()
-    apply_column_sweep(HOST_BACKEND, reference, components, program, kernel="looped")
+    reference = eye.copy()
+    apply_column_sweep(reference, components, program, kernel="looped")
     for name in available:
-        if not get_sweep_kernel(name).supports(HOST_BACKEND):
-            continue
-        result = np.asarray(eye).copy()
-        apply_column_sweep(HOST_BACKEND, result, components, program, kernel=name)
+        result = eye.copy()
+        apply_column_sweep(result, components, program, kernel=name)
         assert np.array_equal(result, reference), f"{name} diverged from the reference"
         print(f"  {name:9s} BIT-IDENTICAL to the looped reference")
 
@@ -102,7 +95,7 @@ def main(argv=None) -> int:
         for _ in range(repeats + 1):  # one extra pass warms the column plan
             work[...] = eye
             start = time.perf_counter()
-            apply_column_sweep(HOST_BACKEND, work, components, program, kernel=name)
+            apply_column_sweep(work, components, program, kernel=name)
             best = min(best, time.perf_counter() - start)
         seconds[name] = best
         print(f"  {name:9s} {best * 1e3:8.1f} ms")

@@ -16,11 +16,11 @@ The package is organized as a hierarchy mirroring the paper's methodology:
   thermal crosstalk,
 * :mod:`repro.analysis` — RVD, sensitivity maps, Monte Carlo engine,
   criticality ranking, yield sweeps,
-* :mod:`repro.arrays` — the device-agnostic array seam (pluggable ``xp``
-  namespaces: NumPy reference, optional CuPy, strict mock device),
+* :mod:`repro.arrays` — the hot-path array kernels and the mesh
+  column-sweep kernel registry,
 * :mod:`repro.execution` — pluggable backends (serial / multiprocess /
-  gpu) that schedule the Monte Carlo chunks, bit-identical at every
-  worker count (GPU: allclose at fixed seeds),
+  fleet) that schedule the Monte Carlo chunks, bit-identical at every
+  worker count,
 * :mod:`repro.experiments` — runners that regenerate every figure and
   headline number of the paper,
 * substrates: :mod:`repro.autograd`, :mod:`repro.nn`, :mod:`repro.datasets`,
@@ -35,7 +35,7 @@ from .analysis import (
     rvd,
     yield_sweep,
 )
-from .execution import GpuBackend, MultiprocessBackend, SerialBackend, resolve_backend
+from .execution import MultiprocessBackend, SerialBackend, resolve_backend
 from .exceptions import (
     AutogradError,
     ConfigurationError,
@@ -140,7 +140,6 @@ __all__ = [
     "yield_sweep",
     "SerialBackend",
     "MultiprocessBackend",
-    "GpuBackend",
     "resolve_backend",
     "NoiseInjector",
     "PerturbationSchedule",

@@ -30,7 +30,6 @@ import numpy as np
 
 from contextlib import nullcontext
 
-from ..arrays import active_array_backend, to_host
 from ..execution import BackendLike, pool_scope, resolve_backend
 from ..observability import map_chunks
 from ..observability.recorder import active as _active_recorder
@@ -138,12 +137,12 @@ class AccuracyTimelineTrial:
                 mask[:] = True
             if policy.drift_threshold is not None:
                 drifted = state.drift_rms() >= policy.drift_threshold
-                mask |= np.asarray(to_host(drifted), dtype=bool)
+                mask |= drifted
             if mask.all():
                 state.renull()
                 events[:, step] = True
             elif mask.any():
-                state.renull(rows=active_array_backend().xp.asarray(mask))
+                state.renull(rows=mask)
                 events[:, step] = mask
             served = spnn.accuracy_batch(
                 features,
@@ -153,7 +152,7 @@ class AccuracyTimelineTrial:
                 chunk_size=self.forward_chunk_size,
                 workspace=workspace,
             )
-            accuracy[:, step] = np.asarray(to_host(served), dtype=np.float64)
+            accuracy[:, step] = served
             if policy.accuracy_threshold is not None:
                 pending = accuracy[:, step] < policy.accuracy_threshold
             else:
@@ -251,7 +250,6 @@ def timeline_sweep(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    device: Optional[str] = None,
     forward_chunk_size: Optional[int] = None,
     use_workspace: bool = False,
 ) -> TimelineSweepResult:
@@ -283,10 +281,10 @@ def timeline_sweep(
     rng:
         Seed; curves are reproducible and worker-count invariant at a
         fixed seed.
-    chunk_size, backend, workers, device:
+    chunk_size, backend, workers:
         Scheduling knobs, exactly as in the Monte Carlo engine: timelines
         are sharded into vectorized chunks across the selected execution
-        backend; ``device="gpu"`` runs the chunks device-resident.
+        backend.
     forward_chunk_size, use_workspace:
         Forwarded to the per-step forward pass (memory knobs; never change
         the curves).
@@ -308,7 +306,7 @@ def timeline_sweep(
         resolve_array(features), resolve_array(labels), use_hardware=True
     )
     generators = spawn_rngs(rng, timelines)
-    resolved = resolve_backend(backend, workers, device)
+    resolved = resolve_backend(backend, workers)
     already_hosted = is_hosted_array(features) or is_hosted_array(labels)
     hosting = (
         nullcontext((features, labels))
@@ -375,7 +373,6 @@ def timeline_sweep_multi(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    device: Optional[str] = None,
     forward_chunk_size: Optional[int] = None,
     use_workspace: bool = False,
 ) -> Tuple[TimelineSweepResult, ...]:
@@ -409,7 +406,7 @@ def timeline_sweep_multi(
         resolve_array(features), resolve_array(labels), use_hardware=True
     )
     model_streams = spawn_rngs(rng, len(models))
-    resolved = resolve_backend(backend, workers, device)
+    resolved = resolve_backend(backend, workers)
     already_hosted = is_hosted_array(features) or is_hosted_array(labels)
     hosting = (
         nullcontext((features, labels))

@@ -1,25 +1,19 @@
-"""Namespace-generic out-buffer kernels of the numerics hot paths.
+"""Out-buffer kernels of the numerics hot paths.
 
-Every function here takes the array namespace ``xp`` explicitly and touches
-arrays only through it (or through operators, which dispatch on the array
-type) — this module never imports NumPy, which the seam lint
-(``tools/check_numpy_seam.py``) enforces.  With ``xp`` bound to NumPy these
-are the exact ufunc sequences the pre-seam implementations executed, so the
-reference path stays byte-for-byte identical; with a device namespace the
-same code runs on the device.
-
-The ``out=`` parameters follow the library-wide workspace contract: an out
-buffer only changes *where* the result lives, never its values, and callers
-fully overwrite any buffer they receive.
+These are the ufunc sequences the Monte Carlo engine, the SPNN forward
+pass and the MZI transfer functions share.  The ``out=`` parameters follow
+the library-wide workspace contract: an out buffer only changes *where*
+the result lives, never its values, and callers fully overwrite any buffer
+they receive.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
 __all__ = [
-    "broadcast_shapes",
-    "is_complex",
     "matmul_result_shape",
     "matmul_transposed",
     "softplus",
@@ -30,125 +24,99 @@ __all__ = [
 ]
 
 
-def broadcast_shapes(*shapes: Tuple[int, ...]) -> Tuple[int, ...]:
-    """NumPy-style broadcast of shape tuples (pure host-side integer math)."""
-    ndim = max((len(shape) for shape in shapes), default=0)
-    result = []
-    for axis in range(ndim):
-        extent = 1
-        for shape in shapes:
-            index = axis - (ndim - len(shape))
-            if index < 0:
-                continue
-            dim = int(shape[index])
-            if dim == 1 or dim == extent:
-                continue
-            if extent == 1:
-                extent = dim
-            else:
-                raise ValueError(f"shapes {shapes} are not broadcastable")
-        result.append(extent)
-    return tuple(result)
-
-
-def is_complex(array) -> bool:
-    """Whether ``array`` holds complex values (dtype-kind test, any namespace)."""
-    return getattr(array, "dtype", None) is not None and array.dtype.kind == "c"
-
-
 def matmul_result_shape(activations, matrix) -> Tuple[int, ...]:
     """Shape of ``activations @ swapaxes(matrix, -2, -1)`` under broadcasting."""
-    return broadcast_shapes(
+    return np.broadcast_shapes(
         tuple(activations.shape[:-1]), tuple(matrix.shape[:-2]) + (1,)
     ) + (int(matrix.shape[-2]),)
 
 
-def matmul_transposed(xp, activations, matrix, out=None):
+def matmul_transposed(activations, matrix, out=None):
     """``activations @ matrix.T`` with a real/complex split on the hot path.
 
     After the modulus-Softplus the activations are real while the hardware
     matrices stay complex; multiplying through a complex matmul would spend
     half its work on the zero imaginary part, so the real and imaginary
     products are computed separately.  ``matrix`` may carry a leading batch
-    axis (stacked matmuls run the same per-slice kernel as the 2-D ones on
-    the reference namespace, keeping the looped and batched paths
-    bit-identical).  ``out`` optionally supplies the result buffer.
+    axis (stacked matmuls run the same per-slice kernel as the 2-D ones,
+    keeping the looped and batched paths bit-identical).  ``out``
+    optionally supplies the result buffer.
     """
-    transposed = xp.swapaxes(matrix, -2, -1)
-    if is_complex(activations):
+    transposed = np.swapaxes(matrix, -2, -1)
+    if np.iscomplexobj(activations):
         if out is None:
-            return xp.matmul(activations, transposed)
-        return xp.matmul(activations, transposed, out=out)
+            return np.matmul(activations, transposed)
+        return np.matmul(activations, transposed, out=out)
     if out is None:
-        out = xp.empty(matmul_result_shape(activations, matrix), dtype=xp.complex128)
-    out.real = xp.matmul(activations, transposed.real)
-    out.imag = xp.matmul(activations, transposed.imag)
+        out = np.empty(matmul_result_shape(activations, matrix), dtype=np.complex128)
+    out.real = np.matmul(activations, transposed.real)
+    out.imag = np.matmul(activations, transposed.imag)
     return out
 
 
-def softplus(xp, x, beta: float = 1.0, threshold: float = 30.0, out=None):
+def softplus(x, beta: float = 1.0, threshold: float = 30.0, out=None):
     """Numerically stable Softplus, ``log(1 + exp(beta x)) / beta``.
 
     ``out`` optionally supplies the result buffer (it must not alias ``x``,
     which is still read for the saturated branch); one buffer is reused for
     the chained elementwise steps either way.
     """
-    scaled = xp.multiply(beta, x, out=out) if out is not None else beta * x
+    scaled = np.multiply(beta, x, out=out) if out is not None else beta * x
     saturated = scaled > threshold
     any_saturated = bool(saturated.any())
-    result = xp.minimum(scaled, threshold, out=scaled)
-    xp.exp(result, out=result)
-    xp.log1p(result, out=result)
+    result = np.minimum(scaled, threshold, out=scaled)
+    np.exp(result, out=result)
+    np.log1p(result, out=result)
     if beta != 1.0:
         result /= beta
     # With no saturated entries the where() would copy `result` verbatim.
-    return xp.where(saturated, x, result) if any_saturated else result
+    return np.where(saturated, x, result) if any_saturated else result
 
 
-def log_softmax(xp, x):
+def log_softmax(x):
     """Row-wise log-softmax over the last axis."""
-    shifted = x - xp.max(x, axis=-1, keepdims=True)
-    return shifted - xp.log(xp.sum(xp.exp(shifted), axis=-1, keepdims=True))
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def unit_phasor(xp, angle, out=None):
+def unit_phasor(angle, out=None):
     """``exp(1j * angle)`` assembled from real sin/cos into one buffer.
 
     Bit-identical to ``exp(1j * angle)`` (complex exp of a purely imaginary
     argument reduces to exactly this) while skipping the complex temporary
     and the slower complex-exp kernel on the Monte Carlo hot path.
     """
-    angle = xp.asarray(angle, dtype=xp.float64)
+    angle = np.asarray(angle, dtype=np.float64)
     if out is None:
-        out = xp.empty(angle.shape, dtype=xp.complex128)
-    xp.cos(angle, out=out.real)
-    xp.sin(angle, out=out.imag)
+        out = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
     return out
 
 
-def mzi_block_components(xp, theta, phi, r1, t1=None, r2=None, t2=None):
+def mzi_block_components(theta, phi, r1, t1=None, r2=None, t2=None):
     """The four elements of the non-ideal MZI transfer matrix (paper Eq. (5)).
 
     Same physics as the assembled ``(..., 2, 2)`` matrix but returned as the
     tuple ``(T00, T01, T10, T11)`` of broadcast-shaped arrays — the layout
     the mesh evaluators consume directly.  All parameters broadcast.
     """
-    theta = xp.asarray(theta, dtype=xp.float64)
-    phi = xp.asarray(phi, dtype=xp.float64)
-    r1 = xp.asarray(r1, dtype=xp.float64)
-    r2 = xp.asarray(r1 if r2 is None else r2, dtype=xp.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    r1 = np.asarray(r1, dtype=np.float64)
+    r2 = np.asarray(r1 if r2 is None else r2, dtype=np.float64)
     t1 = (
-        xp.sqrt(xp.clip(1.0 - r1**2, 0.0, 1.0))
+        np.sqrt(np.clip(1.0 - r1**2, 0.0, 1.0))
         if t1 is None
-        else xp.asarray(t1, dtype=xp.float64)
+        else np.asarray(t1, dtype=np.float64)
     )
     t2 = (
-        xp.sqrt(xp.clip(1.0 - r2**2, 0.0, 1.0))
+        np.sqrt(np.clip(1.0 - r2**2, 0.0, 1.0))
         if t2 is None
-        else xp.asarray(t2, dtype=xp.float64)
+        else np.asarray(t2, dtype=np.float64)
     )
-    e_theta = unit_phasor(xp, theta)
-    e_phi = unit_phasor(xp, phi)
+    e_theta = unit_phasor(theta)
+    e_phi = unit_phasor(phi)
     e_both = e_phi * e_theta
     # Shared splitter products; multiplying a real array by 1j is an exact
     # placement into the imaginary part, so the factored forms below equal
@@ -175,11 +143,10 @@ def apply_mzi_blocks(matrices, components, program) -> None:
     the four block-element arrays (``(..., M)`` or ``(M,)``, broadcasting
     over the leading dimensions) **already gathered into column-sorted
     order** by the program's propagation permutation; ``program`` is a
-    :class:`~repro.arrays.sweep.ColumnProgram` whose packed ``top``/
-    ``bottom`` index arrays live in the matrices' namespace.  Devices in
-    one column act on disjoint mode pairs, so their two-row updates are
-    gathered and applied in a single elementwise step; the arithmetic is
-    pure elementwise multiply-add, which makes the batched application
+    :class:`~repro.arrays.sweep.ColumnProgram`.  Devices in one column act
+    on disjoint mode pairs, so their two-row updates are gathered and
+    applied in a single elementwise step; the arithmetic is pure
+    elementwise multiply-add, which makes the batched application
     bit-identical to the single-realization one.
     """
     b00, b01, b10, b11 = components

@@ -1,4 +1,4 @@
-"""Optional numba-jitted column-sweep kernel (host arrays only).
+"""Optional numba-jitted column-sweep kernel.
 
 Registered with the sweep-kernel registry unconditionally but
 ``available()`` only when :mod:`numba` imports — the container images
@@ -11,13 +11,9 @@ pair), prange-parallel over the batch axis only — columns stay
 sequential (they carry the propagation-order data dependence) and
 devices within a column touch disjoint rows, so the loop nest is
 race-free.  Complex multiply/add lower to the same non-fused scalar
-arithmetic NumPy's ufuncs execute, so results are expected bit-identical
-on the host backend; the registry conformance suite asserts exact
-equality whenever numba is importable.
-
-This module intentionally lives *outside* the numpy-seam lint lists: it
-is host-only accelerator glue that needs direct ``numpy`` (and numba)
-imports, never device namespaces.
+arithmetic NumPy's ufuncs execute, so results are expected bit-identical;
+the registry conformance suite asserts exact equality whenever numba is
+importable.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
 
 
 class NumbaSweepKernel(SweepKernel):
-    """prange-over-batch jitted sweep; host backend only, bit-exact."""
+    """prange-over-batch jitted sweep, bit-exact."""
 
     name = "numba"
     #: prange parallelizes over the whole batch axis — external chunking
@@ -77,9 +73,6 @@ class NumbaSweepKernel(SweepKernel):
 
     def _probe(self):
         return HAVE_NUMBA, None if HAVE_NUMBA else "numba is not installed"
-
-    def supports(self, backend) -> bool:
-        return bool(backend.is_host)
 
     def _indices(self, program: ColumnProgram) -> Dict[str, np.ndarray]:
         cached = program.cache.get(self.name)
@@ -92,7 +85,7 @@ class NumbaSweepKernel(SweepKernel):
             program.cache[self.name] = cached
         return cached
 
-    def run(self, backend, matrices, components, program: ColumnProgram) -> None:
+    def run(self, matrices, components, program: ColumnProgram) -> None:
         if not HAVE_NUMBA:  # pragma: no cover - guarded by available()
             raise RuntimeError("the numba sweep kernel requires numba")
         n = program.n

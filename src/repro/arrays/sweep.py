@@ -12,34 +12,25 @@ This module makes the sweep pluggable:
 * :class:`ColumnProgram` — the per-mesh structure "compiled" once into
   packed flat index arrays (column-sorted top/bottom row indices plus
   column boundary offsets), replacing the per-call list-of-triples
-  ``groups`` structure.  Programs are built by the mesh, converted per
-  array backend once, and cached in the existing per-backend mesh cache.
+  ``groups`` structure.  Programs are built once per mesh.
 * :class:`SweepKernel` implementations behind a small registry:
 
   - ``looped`` — the reference sweep (bit-exact legacy arithmetic).
   - ``fused``  — hand-fused out-buffer sweep: three elementwise out-ops
     per column through preallocated capacity-tracked scratch buffers
     (zero per-column allocation, exact same float op sequence as
-    ``looped``), cache-blocked over the batch axis on host namespaces.
-  - ``numba``  — optional prange-jitted host kernel
-    (:mod:`repro.arrays.numba_sweep`); registered only when importable.
-  - ``cupy_raw`` — a CUDA ``RawKernel`` replaying the whole sweep as one
-    device launch per batch chunk (:mod:`repro.arrays.cupy_sweep`), with
-    graceful fallback to ``fused`` when compilation is unavailable.
+    ``looped``), cache-blocked over the batch axis.
+  - ``numba``  — optional prange-jitted kernel
+    (:mod:`repro.arrays.numba_sweep`); available only when importable.
 
 * :func:`apply_column_sweep` — the runtime dispatch used by
   :meth:`repro.mesh.mesh.MZIMesh.matrix_batch`: pick the best available
-  kernel for the active backend (or honor the ``REPRO_SWEEP_KERNEL``
-  environment override) and run it.
+  kernel (or honor the ``REPRO_SWEEP_KERNEL`` environment override) and
+  run it.
 
-Every kernel must be *conformant*: bit-identical to ``looped`` on host
-and mock backends (same ufunc sequence), allclose on CuPy (same math,
-device rounding).  The registry conformance suite in ``tests/arrays``
+Every kernel must be *conformant*: bit-identical to ``looped`` (same
+ufunc sequence).  The registry conformance suite in ``tests/arrays``
 enforces this for every registered kernel.
-
-Like :mod:`repro.arrays.kernels`, this module never imports NumPy: all
-array work goes through the backend's ``xp`` namespace or operators, so
-one implementation serves every registered backend.
 """
 
 from __future__ import annotations
@@ -47,7 +38,9 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..observability.dispatch import active_collector, active_feedback
@@ -71,12 +64,15 @@ __all__ = [
 #: Environment override for kernel selection (exact registry name).
 SWEEP_KERNEL_ENV = "REPRO_SWEEP_KERNEL"
 
+#: The array-backend name dispatch records and cost tables carry.
+BACKEND_NAME = "numpy"
+
 #: Precomputed index tuples selecting a column block's top/bottom rows of
 #: the ``(..., m, 2, n)`` pair view (keepdims so components broadcast).
 _TOP = (Ellipsis, slice(0, 1), slice(None))
 _BOTTOM = (Ellipsis, slice(1, 2), slice(None))
 
-#: Matrix elements per cache block of the fused host sweep: one block of
+#: Matrix elements per cache block of the fused sweep: one block of
 #: stacked matrices (~256 KiB complex128) stays L2-resident across *all*
 #: columns, so the batch streams through memory once per sweep instead of
 #: once per column.
@@ -87,9 +83,8 @@ _HOST_BLOCK_ELEMENTS = 16384
 class ColumnProgram:
     """Packed flat-index form of a mesh's column-sweep structure.
 
-    Built once per mesh (host arrays), converted at most once per array
-    backend via :meth:`to_backend`, and cached by the mesh — no index
-    rebuilding on the per-call hot path.  All index arrays are in
+    Built once per mesh and cached by it — no index rebuilding on the
+    per-call hot path.  All index arrays are in
     *column-sorted propagation order* (the mesh's stable column
     permutation), so per-column work is a contiguous slice.
 
@@ -110,8 +105,7 @@ class ColumnProgram:
         and one fancy scatter per column instead of two of each.
     starts:
         ``(C + 1,)`` column boundary offsets into ``perm``/``top``/
-        ``bottom`` (host array; kernels that need it on device stash a
-        converted copy in :attr:`cache`).
+        ``bottom``.
     spans:
         ``starts`` as plain ``(start, stop)`` int pairs — a tuple so the
         per-column loop never converts array scalars.
@@ -128,11 +122,11 @@ class ColumnProgram:
     """
 
     n: int
-    perm: object
-    top: object
-    bottom: object
-    rows: object
-    starts: object
+    perm: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
     spans: Tuple[Tuple[int, int], ...]
     bases: Tuple[Optional[int], ...]
     cache: Dict[object, object] = field(default_factory=dict, repr=False, compare=False)
@@ -149,27 +143,6 @@ class ColumnProgram:
     def max_column_devices(self) -> int:
         """Widest column (devices), sizing the fused scratch buffers."""
         return max((stop - start for start, stop in self.spans), default=0)
-
-    def to_backend(self, backend) -> "ColumnProgram":
-        """This program with its gather/scatter index arrays on ``backend``.
-
-        Host backends index with the original arrays; device namespaces
-        index with their own array type.  ``starts``/``spans`` stay host
-        side (pure scheduling metadata).  The mesh caches the result per
-        backend name, so conversion happens at most once per backend.
-        """
-        if backend.is_host:
-            return self
-        return ColumnProgram(
-            n=self.n,
-            perm=backend.asarray(self.perm),
-            top=backend.asarray(self.top),
-            bottom=backend.asarray(self.bottom),
-            rows=backend.asarray(self.rows),
-            starts=self.starts,
-            spans=self.spans,
-            bases=self.bases,
-        )
 
 
 class SweepShape(NamedTuple):
@@ -195,10 +168,9 @@ class SweepKernel:
     Subclasses implement :meth:`run`; ``matrices`` is ``(..., n, n)``,
     ``components`` the four ``(..., M)`` block component arrays *already
     gathered into column-sorted order* (by ``program.perm``), and
-    ``program`` a :class:`ColumnProgram` already converted for
-    ``backend``.  The sweep updates ``matrices`` in place and must be
-    conformant with the ``looped`` reference (bit-identical on host/mock
-    namespaces, allclose on CuPy).
+    ``program`` the mesh's :class:`ColumnProgram`.  The sweep updates
+    ``matrices`` in place and must be bit-identical to the ``looped``
+    reference.
     """
 
     #: Registry name (also the ``REPRO_SWEEP_KERNEL`` override value).
@@ -206,14 +178,13 @@ class SweepKernel:
 
     #: Whether the kernel manages its own lead-axis blocking.  Callers
     #: (``MZIMesh.matrix_batch``) hand such kernels the *whole* batch in
-    #: one call instead of chunking externally for cache residency — the
-    #: kernel blocks (or launches) however suits its execution model.
+    #: one call instead of chunking externally for cache residency.
     blocks_internally: bool = False
 
     #: Memoized ``(available, reason)`` probe result; availability cannot
     #: change mid-process (deps don't materialize after import), so the
-    #: probe — which may import numba or touch the CUDA driver — runs at
-    #: most once per kernel instance.
+    #: probe — which may import numba — runs at most once per kernel
+    #: instance.
     _availability: Optional[Tuple[bool, Optional[str]]] = None
 
     def _probe(self) -> Tuple[bool, Optional[str]]:
@@ -248,15 +219,11 @@ class SweepKernel:
         """
         return self.availability()[1]
 
-    def supports(self, backend) -> bool:
-        """Whether the kernel can serve ``backend``'s arrays."""
-        return True
-
-    def run(self, backend, matrices, components, program: ColumnProgram) -> None:
+    def run(self, matrices, components, program: ColumnProgram) -> None:
         raise NotImplementedError
 
-    def __call__(self, backend, matrices, components, program: ColumnProgram) -> None:
-        self.run(backend, matrices, components, program)
+    def __call__(self, matrices, components, program: ColumnProgram) -> None:
+        self.run(matrices, components, program)
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
         return f"{type(self).__name__}(name={self.name!r})"
@@ -272,7 +239,7 @@ class LoopedSweepKernel(SweepKernel):
 
     name = "looped"
 
-    def run(self, backend, matrices, components, program: ColumnProgram) -> None:
+    def run(self, matrices, components, program: ColumnProgram) -> None:
         from .kernels import apply_mzi_blocks
 
         apply_mzi_blocks(matrices, components, program)
@@ -283,7 +250,7 @@ class FusedSweepKernel(SweepKernel):
 
     Per column the reference does two fancy gathers, four multiplies, two
     adds and two scatters, every one allocating a fresh temporary.  This
-    kernel collapses that to (at most) four namespace calls per column:
+    kernel collapses that to (at most) four ufunc calls per column:
 
     * The four block components are packed once per sweep into two
       ``(..., M, 2)`` stacks — ``CA = [b00 | b10]``, ``CB = [b01 | b11]``
@@ -297,8 +264,7 @@ class FusedSweepKernel(SweepKernel):
       columns (some Reck diagonals) gather/scatter through the packed
       ``rows`` map with one ``take`` and one fancy assignment.
 
-    On host namespaces the kernel additionally blocks the leading batch
-    axis so one block's matrices (and scratch) stay cache-resident across
+    The kernel additionally blocks the leading batch axis so one block's matrices (and scratch) stay cache-resident across
     *all* columns of the sweep — the whole batch streams through memory
     once instead of once per column.  Batch rows are independent and the
     per-row arithmetic is unchanged, so blocking never changes a value;
@@ -308,11 +274,10 @@ class FusedSweepKernel(SweepKernel):
     The per-element float op sequence — a component multiply per matrix
     element and one add — is exactly the reference's (broadcast multiply
     is elementwise; no reductions anywhere), so results are bit-identical
-    on any namespace where ufunc-with-``out`` equals ufunc-then-copy
-    (all of ours).  Scratch lives per ``(backend, role, dtype)`` in the
-    kernel instance, capacity-tracked like the workspace arena; processes
-    and backends never share buffers, and the sweep never reads a scratch
-    cell it did not just write.
+    (ufunc-with-``out`` equals ufunc-then-copy).  Scratch lives per
+    ``(role, dtype)`` in the kernel instance, capacity-tracked like the
+    workspace arena; processes never share buffers, and the sweep never
+    reads a scratch cell it did not just write.
     """
 
     name = "fused"
@@ -320,40 +285,25 @@ class FusedSweepKernel(SweepKernel):
 
     def __init__(self) -> None:
         self._scratch: Dict[tuple, object] = {}
-        # Per-(program, backend, shape, dtype) column plans.  Keyed by
+        # Per-(program, shape, dtype) column plans.  Keyed by
         # id(program) with a weakref guard against id reuse; kept on the
         # kernel instance (not in ``program.cache``) so pickling a mesh to
         # worker processes never ships megabytes of scratch views.
         self._plans: Dict[int, tuple] = {}
-        # Whether the backend's take() accepts mode= (NumPy does; CuPy
-        # does not).  mode="clip" matters: NumPy's take-with-out buffers
-        # through a temporary under the default mode="raise", which costs
-        # more than the gather itself.  Program indices are mesh-generated
-        # and always in bounds, so clip never changes a value.
-        self._take_accepts_mode: Dict[str, bool] = {}
 
-    def _take(self, xp, backend_name: str, source, rows, out) -> None:
-        if self._take_accepts_mode.get(backend_name, True):
-            try:
-                xp.take(source, rows, axis=-2, out=out, mode="clip")
-                return
-            except TypeError:
-                self._take_accepts_mode[backend_name] = False
-        xp.take(source, rows, axis=-2, out=out)
-
-    def _buffer(self, backend, role: str, shape, dtype):
+    def _buffer(self, role: str, shape, dtype):
         """Capacity-tracked scratch view of ``shape`` for ``role``."""
         size = 1
         for extent in shape:
             size *= int(extent)
-        key = (backend.name, role, str(dtype))
+        key = (role, str(dtype))
         flat = self._scratch.get(key)
         if flat is None or flat.shape[0] < size:
-            flat = backend.empty((size,), dtype)
+            flat = np.empty((size,), dtype)
             self._scratch[key] = flat
         return flat[:size].reshape(shape)
 
-    def _plan(self, backend, program: ColumnProgram, lead, comp_lead, dtype):
+    def _plan(self, program: ColumnProgram, lead, comp_lead, dtype):
         """The per-column execution plan for one (program, shape) pairing.
 
         Each entry packs everything the hot loop needs per column as
@@ -371,7 +321,7 @@ class FusedSweepKernel(SweepKernel):
         if entry is None:
             plans = {}
             self._plans[id(program)] = (weakref.ref(program), plans)
-        key = (backend.name, lead, comp_lead, str(dtype))
+        key = (lead, comp_lead, str(dtype))
         plan = plans.get(key)
         if plan is not None:
             return plan
@@ -382,20 +332,20 @@ class FusedSweepKernel(SweepKernel):
         # one backing per role (each view is fully written before it is
         # read within its own column).
         width = program.max_column_devices
-        self._buffer(backend, "updated", lead + (width, 2, n), dtype)
-        self._buffer(backend, "scratch", lead + (width, 2, n), dtype)
+        self._buffer("updated", lead + (width, 2, n), dtype)
+        self._buffer("scratch", lead + (width, 2, n), dtype)
         if any(base is None for base in program.bases):
-            self._buffer(backend, "gathered", lead + (width, 2, n), dtype)
+            self._buffer("gathered", lead + (width, 2, n), dtype)
         plan = []
         for (start, stop), base in zip(program.spans, program.bases):
             m = stop - start
             xshape = lead + (m, 2, n)
             ca_index = (Ellipsis, slice(start, stop), slice(None), None)
-            new = self._buffer(backend, "updated", xshape, dtype)
-            tmp = self._buffer(backend, "scratch", xshape, dtype)
+            new = self._buffer("updated", xshape, dtype)
+            tmp = self._buffer("scratch", xshape, dtype)
             if base is None:
                 block_rows = rows[2 * start : 2 * stop]
-                block = self._buffer(backend, "gathered", lead + (2 * m, n), dtype)
+                block = self._buffer("gathered", lead + (2 * m, n), dtype)
                 x = block.reshape(xshape)
                 plan.append((None, None, ca_index, block_rows, block, x, new, tmp))
             else:
@@ -404,7 +354,7 @@ class FusedSweepKernel(SweepKernel):
         plans[key] = plan
         return plan
 
-    def run(self, backend, matrices, components, program: ColumnProgram) -> None:
+    def run(self, matrices, components, program: ColumnProgram) -> None:
         b00, b01, b10, b11 = components
         lead = tuple(matrices.shape[:-2])
         comp_lead = tuple(b00.shape[:-1])
@@ -414,20 +364,19 @@ class FusedSweepKernel(SweepKernel):
         # Component stacks: CA[..., i, 0] = b00[..., i], CA[..., i, 1] =
         # b10[..., i] (likewise CB with b01/b11), so the per-column views
         # below broadcast one multiply over both output rows of a device.
-        ca = self._buffer(backend, "ca", comp_lead + (program.num_devices, 2), dtype)
-        cb = self._buffer(backend, "cb", comp_lead + (program.num_devices, 2), dtype)
+        ca = self._buffer("ca", comp_lead + (program.num_devices, 2), dtype)
+        cb = self._buffer("cb", comp_lead + (program.num_devices, 2), dtype)
         ca[..., 0] = b00
         ca[..., 1] = b10
         cb[..., 0] = b01
         cb[..., 1] = b11
-        block = self._lead_block(backend, lead, comp_lead, program.n)
+        block = self._lead_block(lead, comp_lead, program.n)
         if block is None:
-            self._sweep(backend, matrices, ca, cb, program, lead, comp_lead, dtype)
+            self._sweep(matrices, ca, cb, program, lead, comp_lead, dtype)
             return
         for start in range(0, lead[0], block):
             stop = min(start + block, lead[0])
             self._sweep(
-                backend,
                 matrices[start:stop],
                 ca[start:stop],
                 cb[start:stop],
@@ -438,26 +387,23 @@ class FusedSweepKernel(SweepKernel):
             )
 
     @staticmethod
-    def _lead_block(backend, lead, comp_lead, n: int):
+    def _lead_block(lead, comp_lead, n: int):
         """Batch rows per cache block, or ``None`` to sweep in one pass.
 
-        Host only (a device wants one launch per column, not one per
-        block), and only for the stacked ``(B, n, n)`` layout with fully
-        batched components — broadcasting component stacks cannot be
-        sliced along the batch axis.
+        Only for the stacked ``(B, n, n)`` layout with fully batched
+        components — broadcasting component stacks cannot be sliced along
+        the batch axis.
         """
-        if not backend.is_host or len(lead) != 1 or comp_lead != lead:
+        if len(lead) != 1 or comp_lead != lead:
             return None
         block = max(1, _HOST_BLOCK_ELEMENTS // max(1, n * n))
         return block if lead[0] > block else None
 
-    def _sweep(self, backend, matrices, ca, cb, program, lead, comp_lead, dtype) -> None:
-        xp = backend.xp
-        multiply = xp.multiply
-        add = xp.add
-        name = backend.name
+    def _sweep(self, matrices, ca, cb, program, lead, comp_lead, dtype) -> None:
+        multiply = np.multiply
+        add = np.add
         for span, xshape, ca_index, block_rows, block, gx, new, tmp in self._plan(
-            backend, program, lead, comp_lead, dtype
+            program, lead, comp_lead, dtype
         ):
             if span is not None:
                 # Contiguous row block: read through a reshaped view and
@@ -470,7 +416,10 @@ class FusedSweepKernel(SweepKernel):
             else:
                 # Non-conforming column: gather the interleaved rows into
                 # scratch, update in place there, scatter back once.
-                self._take(xp, name, matrices, block_rows, block)
+                # mode="clip" skips the temporary take-with-out buffers
+                # through under mode="raise"; program indices are always
+                # in bounds, so it never changes a value.
+                np.take(matrices, block_rows, axis=-2, out=block, mode="clip")
                 multiply(ca[ca_index], gx[_TOP], out=new)
                 multiply(cb[ca_index], gx[_BOTTOM], out=tmp)
                 add(new, tmp, out=gx)
@@ -483,10 +432,9 @@ class FusedSweepKernel(SweepKernel):
 
 _KERNELS: Dict[str, SweepKernel] = {}
 
-#: Selection preference when no override is set; filtered by
-#: ``available()``/``supports()`` per backend, so e.g. ``cupy_raw`` only
-#: ever serves the CuPy backend and ``numba`` only host arrays.
-_DEFAULT_ORDER: Tuple[str, ...] = ("cupy_raw", "numba", "fused", "looped")
+#: Selection preference when no override is set, filtered by
+#: ``available()``.
+_DEFAULT_ORDER: Tuple[str, ...] = ("numba", "fused", "looped")
 
 
 def register_sweep_kernel(kernel: SweepKernel) -> SweepKernel:
@@ -512,30 +460,25 @@ def sweep_kernel_names() -> Tuple[str, ...]:
     return tuple(_KERNELS)
 
 
-def available_sweep_kernels(backend=None) -> Tuple[str, ...]:
-    """Names of the kernels that can run now (optionally for ``backend``)."""
-    return tuple(
-        name
-        for name, kernel in _KERNELS.items()
-        if kernel.available() and (backend is None or kernel.supports(backend))
-    )
+def available_sweep_kernels() -> Tuple[str, ...]:
+    """Names of the kernels that can run now."""
+    return tuple(name for name, kernel in _KERNELS.items() if kernel.available())
 
 
-def select_sweep_kernel(backend, shape: Optional[SweepShape] = None) -> SweepKernel:
-    """The kernel serving ``backend``: env override or best available.
+def select_sweep_kernel(shape: Optional[SweepShape] = None) -> SweepKernel:
+    """The kernel to run: env override or best available.
 
     ``REPRO_SWEEP_KERNEL`` names a registered kernel and fails loudly when
-    it is unknown, unavailable (dependency missing) or unsupported on the
-    active backend — a silent fallback would hide a misconfigured run.
-    Without the override, the first available kernel in the preference
-    order ``cupy_raw > numba > fused > looped`` that supports the backend
-    wins; ``fused`` is the universal default, ``looped`` the safety net.
+    it is unknown or unavailable (dependency missing) — a silent fallback
+    would hide a misconfigured run.  Without the override, the first
+    available kernel in the preference order ``numba > fused > looped``
+    wins; ``fused`` is the default, ``looped`` the safety net.
 
     With a :class:`SweepShape` hint the autotuned cost model
     (:mod:`repro.tuning.policy`) may reorder *within* the available set
     — it picks the kernel its per-machine calibration predicts cheapest
     for this shape.  The hint never widens the candidate set (only
-    available+supported kernels compete), the env pin always wins over
+    available kernels compete), the env pin always wins over
     it, and ``REPRO_AUTOTUNE=off`` restores the static order exactly.
     Every candidate is conformant with the ``looped`` reference, so the
     choice affects time, never results.
@@ -548,35 +491,20 @@ def select_sweep_kernel(backend, shape: Optional[SweepShape] = None) -> SweepKer
                 f"sweep kernel {override!r} ({SWEEP_KERNEL_ENV}) is not available "
                 f"in this environment; available: {available_sweep_kernels()}"
             )
-        if not kernel.supports(backend):
-            raise ConfigurationError(
-                f"sweep kernel {override!r} ({SWEEP_KERNEL_ENV}) does not support "
-                f"array backend {backend.name!r}; "
-                f"available here: {available_sweep_kernels(backend)}"
-            )
         return kernel
     candidates = tuple(
-        name
-        for name in _DEFAULT_ORDER
-        if name in _KERNELS
-        and _KERNELS[name].available()
-        and _KERNELS[name].supports(backend)
+        name for name in _DEFAULT_ORDER if name in _KERNELS and _KERNELS[name].available()
     )
-    if not candidates:
-        raise ConfigurationError(
-            f"no sweep kernel supports array backend {backend.name!r}"
-        )  # pragma: no cover - looped supports everything
     if shape is not None and len(candidates) > 1:
         from ..tuning.policy import choose_kernel_name
 
-        chosen = choose_kernel_name(backend, shape, candidates)
+        chosen = choose_kernel_name(shape, candidates)
         if chosen is not None:
             return _KERNELS[chosen]
     return _KERNELS[candidates[0]]
 
 
 def apply_column_sweep(
-    backend,
     matrices,
     components,
     program: ColumnProgram,
@@ -585,9 +513,7 @@ def apply_column_sweep(
     """Run the column sweep on ``matrices`` in place with the best kernel.
 
     ``components`` must already be gathered into column-sorted order (by
-    ``program.perm``) and ``program`` already converted for ``backend``
-    (:meth:`ColumnProgram.to_backend`); the mesh does both once per call
-    and per backend respectively.  ``kernel`` optionally pins a registry
+    ``program.perm``); the mesh does that once per call.  ``kernel`` optionally pins a registry
     name (or passes a :class:`SweepKernel` instance through), otherwise
     :func:`select_sweep_kernel` decides.
 
@@ -604,9 +530,7 @@ def apply_column_sweep(
     for extent in matrices.shape[:-2]:
         batch *= int(extent)
     if kernel is None:
-        selected = select_sweep_kernel(
-            backend, SweepShape(program.n, batch, program.num_columns)
-        )
+        selected = select_sweep_kernel(SweepShape(program.n, batch, program.num_columns))
     elif isinstance(kernel, SweepKernel):
         selected = kernel
     else:
@@ -614,17 +538,17 @@ def apply_column_sweep(
     collector = active_collector()
     sink = active_feedback()
     if collector is None and sink is None:
-        selected(backend, matrices, components, program)
+        selected(matrices, components, program)
         return
     started = perf_seconds()
-    selected(backend, matrices, components, program)
+    selected(matrices, components, program)
     elapsed = perf_seconds() - started
     if collector is not None:
         collector.record(
-            selected.name, backend.name, program.n, batch, program.num_columns, elapsed
+            selected.name, BACKEND_NAME, program.n, batch, program.num_columns, elapsed
         )
     if sink is not None:
-        sink(backend.name, selected.name, program.n, batch, program.num_columns, elapsed)
+        sink(BACKEND_NAME, selected.name, program.n, batch, program.num_columns, elapsed)
 
 
 register_sweep_kernel(LoopedSweepKernel())
@@ -632,15 +556,13 @@ register_sweep_kernel(FusedSweepKernel())
 
 
 def _register_optional_kernels() -> None:
-    """Register the numba and cupy kernels (import-guarded wrappers).
+    """Register the numba kernel (an import-guarded wrapper).
 
-    The wrapper modules themselves import their heavy dependency lazily
-    and report ``available() == False`` when it is missing, so merely
-    registering them is always safe — selection skips unavailable
-    kernels and the env override fails with a clear message.
+    The wrapper module imports numba lazily and reports
+    ``available() == False`` when it is missing, so merely registering it
+    is always safe — selection skips unavailable kernels and the env
+    override fails with a clear message.
     """
-    from .cupy_sweep import CupyRawSweepKernel
     from .numba_sweep import NumbaSweepKernel
 
     register_sweep_kernel(NumbaSweepKernel())
-    register_sweep_kernel(CupyRawSweepKernel())

@@ -65,19 +65,17 @@ def _run_summary(smoke: bool) -> dict:
 def _run_info() -> dict:
     """Print (and return) the environment diagnostics behind a run.
 
-    Answers the usual "why is my run slow / which kernel ran / why is the
-    GPU path unavailable" questions without a debugger: platform, CPU
-    budget, array-backend availability, which sweep kernels can serve each
-    backend (with the reason when one cannot run at all), and the
-    ``REPRO_*`` environment overrides currently in force.
+    Answers the usual "why is my run slow / which kernel ran" questions
+    without a debugger: platform, CPU budget, which sweep kernels can run
+    (with the reason when one cannot), and the ``REPRO_*`` environment
+    overrides currently in force.
     """
     import platform
 
     import socket
 
-    from .arrays.namespace import array_backend_names, available_array_backends, get_array_backend
-    from .arrays.sweep import SWEEP_KERNEL_ENV, available_sweep_kernels, get_sweep_kernel, sweep_kernel_names
-    from .execution.backends import GPU_ARRAY_BACKEND_ENV, available_workers
+    from .arrays.sweep import SWEEP_KERNEL_ENV, get_sweep_kernel, sweep_kernel_names
+    from .execution.backends import available_workers
     from .execution.fleet import FLEET_ADDRESS_ENV, artifact_store, default_fleet_address, parse_address
     from .execution.fleet.server import FLEET_SCHEDULING_ENV
     from .observability import TRACE_ENV
@@ -89,14 +87,6 @@ def _run_info() -> dict:
         "cpus_available": available_workers(),
         "cpu_count": os.cpu_count() or 1,
     }
-    usable = available_array_backends()
-    backends: dict = {}
-    for name in array_backend_names():
-        entry: dict = {"available": name in usable}
-        if entry["available"]:
-            entry["sweep_kernels"] = list(available_sweep_kernels(get_array_backend(name)))
-        backends[name] = entry
-    info["array_backends"] = backends
     kernels: dict = {}
     for name in sweep_kernel_names():
         kernel = get_sweep_kernel(name)
@@ -127,7 +117,6 @@ def _run_info() -> dict:
     overrides = (
         SWEEP_KERNEL_ENV,
         TRACE_ENV,
-        GPU_ARRAY_BACKEND_ENV,
         FLEET_ADDRESS_ENV,
         AUTOTUNE_ENV,
         FLEET_SCHEDULING_ENV,
@@ -145,16 +134,6 @@ def _run_info() -> dict:
                 ["python", info["python"]],
                 ["cpus available", info["cpus_available"]],
                 ["cpu count", info["cpu_count"]],
-            ],
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["array backend", "available", "sweep kernels"],
-            [
-                [name, "yes" if entry["available"] else "no", ", ".join(entry.get("sweep_kernels", [])) or "-"]
-                for name, entry in backends.items()
             ],
         )
     )
@@ -282,18 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--device",
-        choices=["cpu", "gpu"],
-        default=None,
-        help=(
-            "run the Monte Carlo realizations on this device: 'gpu' evaluates "
-            "chunks device-resident through the CuPy array backend (or the "
-            "strict mock stand-in selected by REPRO_GPU_ARRAY_BACKEND on "
-            "CPU-only machines); 'cpu' (default) keeps the serial/multiprocess "
-            "backends"
-        ),
-    )
-    parser.add_argument(
         "--bisect",
         action="store_true",
         help=(
@@ -332,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "multiprocess", "gpu", "fleet"],
+        choices=["serial", "multiprocess", "fleet"],
         default=None,
         help=(
             "execution backend for the Monte Carlo chunks; 'fleet' schedules "
@@ -366,8 +333,8 @@ def _run_worker(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     if not args.connect:
         parser.error("'worker' requires --connect HOST:PORT (the coordinator address)")
     for flag, name in (
-        (args.workers, "--workers"), (args.device, "--device"),
-        (args.bisect, "--bisect"), (args.iterations, "--iterations"),
+        (args.workers, "--workers"), (args.bisect, "--bisect"),
+        (args.iterations, "--iterations"),
         (args.backend, "--backend"), (args.fleet, "--fleet"),
         (args.trace, "--trace"), (args.metrics_out, "--metrics-out"),
     ):
@@ -415,17 +382,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"{identifier!r} does not support --workers")
     if identifier in ("list", "summary", "info", "calibrate") and args.bisect:
         parser.error(f"{identifier!r} does not support --bisect")
-    if identifier in ("list", "summary", "info", "calibrate") and args.device is not None:
-        parser.error(f"{identifier!r} does not support --device")
     if identifier in ("list", "summary", "info", "calibrate") and args.backend is not None:
         parser.error(f"{identifier!r} does not support --backend/--fleet")
     if identifier in ("list", "info", "calibrate") and (args.trace or args.metrics_out or args.progress):
         parser.error(f"{identifier!r} does not support --trace/--metrics-out/--progress")
-    if args.device == "gpu" and args.workers is not None and args.workers > 1:
-        parser.error(
-            "--device gpu cannot be combined with --workers > 1 "
-            "(the GPU executes chunks in order; its concurrency lives in the device kernels)"
-        )
     if identifier == "list":
         _print_experiment_list()
         return 0
@@ -459,8 +419,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.backend is not None:
         if not hasattr(config, "backend"):
             parser.error(f"experiment {spec.identifier!r} does not support --backend")
-        if args.device is not None:
-            parser.error("--backend cannot be combined with --device (the backend already decided)")
         if args.backend == "fleet":
             # --workers becomes the minimum fleet size (inside the backend
             # instance) rather than a config knob: resolve_backend forbids
@@ -473,10 +431,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not hasattr(config, "workers"):
             parser.error(f"experiment {spec.identifier!r} does not support --workers")
         config = dataclasses.replace(config, workers=args.workers)
-    if args.device is not None:
-        if not hasattr(config, "device"):
-            parser.error(f"experiment {spec.identifier!r} does not support --device")
-        config = dataclasses.replace(config, device=args.device)
     if args.bisect:
         if not hasattr(config, "bisect"):
             parser.error(f"experiment {spec.identifier!r} does not support --bisect")

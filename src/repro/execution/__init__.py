@@ -10,14 +10,11 @@ backend, persistent workers, spec-hash artifact cache).
 
 from .backends import (
     BACKEND_NAMES,
-    DEVICE_NAMES,
     Backend,
     BackendLike,
-    GpuBackend,
     MultiprocessBackend,
     SerialBackend,
     available_workers,
-    default_gpu_array_backend,
     gather_with_heartbeat,
     pool_scope,
     resolve_backend,
@@ -46,16 +43,13 @@ __all__ = [
     "Backend",
     "BackendLike",
     "BACKEND_NAMES",
-    "DEVICE_NAMES",
     "SerialBackend",
     "MultiprocessBackend",
-    "GpuBackend",
     "FleetBackend",
     "FleetRequestError",
     "FleetServer",
     "artifact_store",
     "available_workers",
-    "default_gpu_array_backend",
     "gather_with_heartbeat",
     "local_fleet",
     "pool_scope",

@@ -9,8 +9,7 @@ a small backend protocol so the same experiment code can run
 
 * inline on the calling thread (:class:`SerialBackend`, the default),
 * sharded across worker processes (:class:`MultiprocessBackend`, stdlib
-  :mod:`concurrent.futures`, no extra dependencies),
-* device-resident (:class:`GpuBackend`), or
+  :mod:`concurrent.futures`, no extra dependencies), or
 * across a persistent socket-connected worker fleet
   (:class:`~repro.execution.fleet.FleetBackend`, stdlib sockets — see
   :mod:`repro.execution.fleet`).
@@ -39,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
-from ..arrays import available_array_backends, get_array_backend, use_array_backend
 from ..observability.progress import emit_progress, progress_sink
 from ..observability.recorder import Stopwatch
 
@@ -213,69 +211,6 @@ class MultiprocessBackend:
             return _gather_futures(futures)
 
 
-#: Environment knob selecting the array backend behind ``--device gpu``.
-#: CPU-only CI sets it to ``mock_device`` so the GPU execution path is
-#: exercised end to end (strict device semantics, bit-identical results)
-#: without CuPy; on GPU machines the default is CuPy.
-GPU_ARRAY_BACKEND_ENV = "REPRO_GPU_ARRAY_BACKEND"
-
-
-def default_gpu_array_backend() -> str:
-    """The array backend ``GpuBackend`` targets when none is named."""
-    return os.environ.get(GPU_ARRAY_BACKEND_ENV, "cupy")
-
-
-@dataclass(frozen=True)
-class GpuBackend:
-    """Run every chunk device-resident through a device array namespace.
-
-    The scheduling itself is inline (one device executes chunks in order —
-    the concurrency lives inside the device's kernels): ``map`` activates
-    the configured array backend (:func:`repro.arrays.use_array_backend`)
-    around the evaluations, so the samplers, mesh sweeps and forward
-    kernels underneath allocate and compute on the device, and only the
-    per-chunk sample vectors are transferred back at reassembly
-    (``evaluate_batch_chunk`` calls :func:`repro.arrays.to_host`).
-
-    ``array_backend`` names the namespace: ``None`` picks CuPy (or the
-    ``REPRO_GPU_ARRAY_BACKEND`` override — CI uses the strict
-    ``mock_device`` stand-in).  Construction fails loudly when the chosen
-    namespace is unavailable, listing what is.
-
-    **Determinism.**  Randomness is always drawn on the host from the
-    pre-spawned child streams, so a device run consumes the same sampled
-    values as the serial path; the mock namespace is bit-identical, a real
-    GPU matches to ``allclose`` at fixed seeds (reduction order).
-    """
-
-    array_backend: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        # Resolve eagerly: a missing CuPy should fail at configuration time
-        # with the available alternatives, not deep inside a Monte Carlo run.
-        object.__setattr__(self, "array_backend", self.resolved_array_backend().name)
-
-    def resolved_array_backend(self):
-        name = self.array_backend if self.array_backend is not None else default_gpu_array_backend()
-        try:
-            return get_array_backend(name)
-        except Exception as error:
-            raise type(error)(
-                f"{error} — the GPU execution backend needs a device array namespace; "
-                f"available array backends: {available_array_backends()} "
-                f"(set {GPU_ARRAY_BACKEND_ENV}=mock_device for the CPU-only stand-in)"
-            ) from error
-
-    @property
-    def parallelism(self) -> int:
-        return 1
-
-    def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        with use_array_backend(self.resolved_array_backend()):
-            tasks = list(tasks)
-            return gather_with_heartbeat("gpu", (fn(task) for task in tasks), len(tasks))
-
-
 @contextmanager
 def pool_scope(backend: Backend) -> Iterator[Backend]:
     """Keep the backend's worker pool alive for the duration of the block.
@@ -299,47 +234,25 @@ def pool_scope(backend: Backend) -> Iterator[Backend]:
 BackendLike = Union[None, str, Backend]
 
 #: Registered backend names (the strings accepted by :func:`resolve_backend`).
-BACKEND_NAMES = ("serial", "multiprocess", "gpu", "fleet")
-
-#: Devices accepted by the ``device`` knob (experiment configs and the CLI).
-DEVICE_NAMES = ("cpu", "gpu")
+BACKEND_NAMES = ("serial", "multiprocess", "fleet")
 
 
-def resolve_backend(
-    backend: BackendLike = None,
-    workers: Optional[int] = None,
-    device: Optional[str] = None,
-) -> Backend:
-    """Turn a ``backend``/``workers``/``device`` knob trio into a backend.
+def resolve_backend(backend: BackendLike = None, workers: Optional[int] = None) -> Backend:
+    """Turn a ``backend``/``workers`` knob pair into a backend.
 
     Resolution rules (shared by every layer that exposes the knobs):
 
     * an existing :class:`Backend` instance is returned unchanged
-      (``workers``/``device`` must then be left unset — the instance
-      already decided),
-    * ``device="gpu"`` selects the device-resident :class:`GpuBackend`
-      (``workers`` must be unset or 1 — the GPU executes chunks in order,
-      the concurrency lives in its kernels); ``device="cpu"``/``None``
-      falls through to the CPU rules below,
+      (``workers`` must then be left unset — the instance already decided),
     * ``None`` auto-selects: ``workers`` of ``None``/1 gives the serial
       backend, anything larger a multiprocess backend with that many
       workers,
-    * ``"serial"`` / ``"multiprocess"`` / ``"gpu"`` / ``"fleet"`` select
+    * ``"serial"`` / ``"multiprocess"`` / ``"fleet"`` select
       explicitly; ``workers`` is honored by the multiprocess backend (pool
       size) and the fleet backend (minimum connected workers) and must be
       unset or 1 otherwise.  The fleet coordinator binds the address in
       ``REPRO_FLEET_ADDRESS`` (default ``127.0.0.1:0``).
     """
-    if device is not None:
-        name = str(device).lower()
-        if name not in DEVICE_NAMES:
-            raise ValueError(f"unknown device {device!r}; expected one of {DEVICE_NAMES}")
-        if name == "gpu":
-            if backend is not None:
-                raise ValueError("device='gpu' cannot be combined with an explicit backend")
-            if workers is not None and workers > 1:
-                raise ValueError("device='gpu' cannot be combined with workers > 1")
-            return GpuBackend()
     if backend is not None and not isinstance(backend, str):
         if not isinstance(backend, Backend):
             raise TypeError(
@@ -362,10 +275,6 @@ def resolve_backend(
         return SerialBackend()
     if name == "multiprocess":
         return MultiprocessBackend(workers=workers)
-    if name == "gpu":
-        if workers is not None and workers > 1:
-            raise ValueError(f"the gpu backend cannot use {workers} workers")
-        return GpuBackend()
     if name == "fleet":
         # Imported lazily: the fleet package imports observability (spans)
         # and would otherwise create an import cycle through this module.

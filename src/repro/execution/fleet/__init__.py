@@ -17,8 +17,8 @@ The package splits along the wire:
     :class:`FleetBackend`, the ``Backend``-protocol face the analysis
     layer sees, and the :func:`local_fleet` localhost harness.
 
-Everything here is numpy-free (``tools/check_numpy_seam.py`` enforces
-it): the fleet moves payloads, it never computes on them.
+Everything here is numpy-free: the fleet moves payloads, it never
+computes on them.
 """
 
 from .backend import FLEET_ADDRESS_ENV, FleetBackend, default_fleet_address, local_fleet

@@ -25,7 +25,7 @@ Unlike ``MultiprocessBackend``'s pool, the coordinator is deliberately
 ``pool_scope``'s enter/exit keeps it alive; call :meth:`close` (or use
 :func:`local_fleet`) for deterministic teardown.
 
-This module is numpy-free (enforced by ``tools/check_numpy_seam.py``).
+This module is numpy-free.
 """
 
 from __future__ import annotations

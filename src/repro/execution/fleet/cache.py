@@ -25,8 +25,7 @@ Networks rebuild through
 :meth:`~repro.mesh.svd_layer.PhotonicLinearLayer.from_tuned_parameters`,
 the same bit-exact path ``SharedNetwork`` uses.
 
-This module is numpy-free (enforced by ``tools/check_numpy_seam.py``):
-digests read ``tobytes()``/``dtype``/``shape`` metadata only, and the
+This module is numpy-free: digests read ``tobytes()``/``dtype``/``shape`` metadata only, and the
 store holds whatever objects it is given without constructing arrays.
 """
 

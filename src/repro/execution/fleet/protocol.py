@@ -15,8 +15,8 @@ those already carry the repo-wide picklability contract.  The transport is
 therefore only suitable for trusted fleets (the same trust boundary as
 ``MultiprocessBackend``'s pickled task stream).
 
-This module is numpy-free and enforced so by ``tools/check_numpy_seam.py``:
-the transport moves opaque payload bytes, never array contents.
+This module is numpy-free: the transport moves opaque payload bytes,
+never array contents.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ mid-request has its in-flight chunk requeued to the survivors; when no
 workers remain — or the request's deadline passes — the request fails with
 a :class:`FleetRequestError` naming the situation.
 
-This module is numpy-free (enforced by ``tools/check_numpy_seam.py``).
+This module is numpy-free.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ function of the task payload, so results are bit-identical no matter
 which worker computed a chunk, how often it was duplicated, or what the
 sleeps were.
 
-This module is numpy-free (enforced by ``tools/check_numpy_seam.py``).
+This module is numpy-free.
 """
 
 from __future__ import annotations

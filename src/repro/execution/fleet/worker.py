@@ -27,8 +27,8 @@ determinism contract is untouched because the task payloads are the same
 self-contained chunk tuples, rebuilt bit-identically from their
 ``StreamSlice`` recipes.
 
-This module is numpy-free (enforced by ``tools/check_numpy_seam.py``) —
-the numerics arrive via the pickled evaluator.
+This module is numpy-free — the numerics arrive via the pickled
+evaluator.
 """
 
 from __future__ import annotations

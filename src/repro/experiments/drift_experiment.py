@@ -22,8 +22,7 @@ framework along that axis:
    budget.
 
 Like every sweep in the repo, the timelines shard across worker processes
-(``--workers N``) or run device-resident (``--device gpu``) with
-bit-identical curves at a fixed seed.
+(``--workers N``) with bit-identical curves at a fixed seed.
 """
 
 from __future__ import annotations
@@ -72,11 +71,9 @@ class DriftConfig:
     #: Timelines per scheduled chunk; None = automatic (memory-derived).
     chunk_size: Optional[int] = None
     #: Execution backend knobs, identical to the other sweeps:
-    #: ``workers=N`` shards timeline chunks across N processes,
-    #: ``device="gpu"`` advances them device-resident — bit-identical.
+    #: ``workers=N`` shards timeline chunks across N processes — bit-identical.
     backend: BackendLike = None
     workers: Optional[int] = None
-    device: Optional[str] = None
     #: Repeats of the renull-cost measurement (best-of).
     cost_repeats: int = 3
     #: Training configuration used only when no pre-built task is supplied.
@@ -217,7 +214,6 @@ def run_drift(
             chunk_size=config.chunk_size,
             backend=config.backend,
             workers=config.workers,
-            device=config.device,
         )
     cost = measure_renull_cost(task.spnn.photonic_layers, repeats=config.cost_repeats)
     return DriftExperimentResult(

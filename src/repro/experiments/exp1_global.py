@@ -71,9 +71,6 @@ class Exp1Config:
     #: shards realization chunks across N processes, bit-identical to serial.
     backend: BackendLike = None
     workers: Optional[int] = None
-    #: ``"gpu"`` runs the realizations device-resident (CuPy, or the mock
-    #: stand-in via REPRO_GPU_ARRAY_BACKEND); ``"cpu"``/None keeps CPU.
-    device: Optional[str] = None
     #: Training configuration used only when no pre-built task is supplied.
     training: SPNNTrainingConfig = field(default_factory=SPNNTrainingConfig)
 
@@ -160,7 +157,7 @@ def run_exp1(
     features, labels = task.test_features, task.test_labels
     # One backend for the whole sweep; its worker pool (if any) stays alive
     # across the (case, sigma) grid instead of re-forking per point.
-    backend = resolve_backend(config.backend, config.workers, config.device)
+    backend = resolve_backend(config.backend, config.workers)
     runner = MonteCarloRunner(
         iterations=config.iterations,
         chunk_size=config.chunk_size,

@@ -116,10 +116,6 @@ class Exp3Config:
     #: Monte Carlo chunks across N processes, bit-identical to serial.
     backend: BackendLike = None
     workers: Optional[int] = None
-    #: ``"gpu"`` runs the evaluation sweeps *and* the injector's K-draw
-    #: training forward device-resident (CuPy, or the mock stand-in via
-    #: REPRO_GPU_ARRAY_BACKEND); ``"cpu"``/None keeps CPU.
-    device: Optional[str] = None
     training: SPNNTrainingConfig = field(
         default_factory=lambda: SPNNTrainingConfig(epochs=40)
     )
@@ -301,7 +297,6 @@ def train_noise_aware_model(
         rng=config.noise_seed,
         incremental=config.incremental_recompile,
         reuse_draws=config.reuse_draws,
-        device=config.device,
     )
     trainer = NoiseAwareTrainer(
         model,
@@ -359,7 +354,7 @@ def run_exp3(config: Exp3Config = Exp3Config(), rng: RNGLike = None) -> Exp3Resu
     # evaluation: MC accuracy sweep per model, one persistent worker pool
     # ------------------------------------------------------------------ #
     gen = ensure_rng(rng if rng is not None else config.seed)
-    backend = resolve_backend(config.backend, config.workers, config.device)
+    backend = resolve_backend(config.backend, config.workers)
     # One independent stream per (model, eval sigma) — plus one bisection
     # stream per model — spawned up front so the samples do not depend on
     # evaluation order or scheduling.

@@ -54,10 +54,6 @@ class YieldConfig:
     #: shards realization chunks across N processes, bit-identical to serial.
     backend: BackendLike = None
     workers: Optional[int] = None
-    #: ``"gpu"`` runs the realizations device-resident (CuPy, or the strict
-    #: mock stand-in via REPRO_GPU_ARRAY_BACKEND); ``"cpu"``/None keeps the
-    #: CPU backends above.  CLI: ``spnn-repro yield --device gpu``.
-    device: Optional[str] = None
     #: Refine the max tolerable sigma by bisection after the coarse sweep
     #: (O(log) extra Monte Carlo runs; CLI: ``spnn-repro yield --bisect``).
     bisect: bool = False
@@ -108,7 +104,6 @@ def run_yield(
         chunk_size=config.chunk_size,
         backend=config.backend,
         workers=config.workers,
-        device=config.device,
     )
     if config.bisect:
         lo = sweep.max_tolerable_sigma or 0.0
@@ -130,6 +125,5 @@ def run_yield(
                 chunk_size=config.chunk_size,
                 backend=config.backend,
                 workers=config.workers,
-                device=config.device,
             )
     return sweep

@@ -20,19 +20,9 @@ from ..exceptions import ShapeError
 
 
 def ensure_batch_field(value, expected_shape, name: str):
-    """Validate one (possibly device-resident) perturbation field.
-
-    Host values go through the historical ``np.asarray(..., float64)``
-    conversion; arrays of another namespace (sampled under a device
-    backend) are shape-checked in place — converting them would force an
-    implicit host transfer, which the device backends forbid.
-    """
+    """Validate one perturbation field as a float64 array of ``expected_shape``."""
     if value is None:
         return None
-    if not isinstance(value, np.ndarray) and hasattr(value, "shape"):
-        if tuple(value.shape) != tuple(expected_shape):
-            raise ShapeError(f"{name} must have shape {tuple(expected_shape)}, got {tuple(value.shape)}")
-        return value
     value = np.asarray(value, dtype=np.float64)
     if value.shape != tuple(expected_shape):
         raise ShapeError(f"{name} must have shape {tuple(expected_shape)}, got {value.shape}")
@@ -87,10 +77,7 @@ class PerturbationBatchFields:
         for name in self._FIELDS:
             value = getattr(self, name)
             if value is not None:
-                shape = getattr(value, "shape", None)
-                if shape is None:
-                    shape = np.asarray(value).shape
-                return int(shape[0])
+                return int(np.shape(value)[0])
         raise ShapeError(f"empty {type(self).__name__} has no batch size")
 
     @classmethod
@@ -114,10 +101,7 @@ class PerturbationBatchFields:
                 present = [v for v in values if v is not None]
                 if present:
                     length = int(np.asarray(present[0]).shape[0])
-                    # Stacking fills the buffer row by row on the host; the
-                    # device transfer (if any) happens later at the mesh
-                    # evaluation seam, so this is always a host buffer.
-                    out = workspace.host_buffer(
+                    out = workspace.buffer(
                         (workspace_key, name), (len(values), length), np.float64
                     )
             fields[name] = stack_rows(values, out=out)
@@ -140,11 +124,7 @@ class PerturbationBatchFields:
         """The single-realization perturbation at batch position ``index``."""
 
         def _row(value):
-            if value is None:
-                return None
-            if not isinstance(value, np.ndarray) and hasattr(value, "shape"):
-                return value[index]  # device array: slice stays on device
-            return np.asarray(value)[index]
+            return None if value is None else np.asarray(value)[index]
 
         return self._SINGLE_CLS(
             **{name: _row(getattr(self, name)) for name in self._FIELDS}

@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..arrays import HOST_BACKEND, active_array_backend
 from ..exceptions import ConfigurationError, ShapeError
 from ..photonics.mzi import mzi_transfer_components
 from ._batch import PerturbationBatchFields, ensure_batch_field
@@ -111,7 +110,7 @@ class DiagonalStage:
             )
         self.shape = (rows, cols)
         # Nominal 50:50 splitter amplitudes, shared by every evaluation.
-        self._nominal_r = np.full(k, 1.0 / np.sqrt(2.0))  # host-only path
+        self._nominal_r = np.full(k, 1.0 / np.sqrt(2.0))
         # Value validation, gain selection and the attenuator set points
         # live in retune() so a recompile tunes through the exact same code.
         self.retune(values, gain)
@@ -146,7 +145,7 @@ class DiagonalStage:
                 "normalized singular values exceed 1; increase the gain "
                 f"(max normalized value {normalized.max():.6f})"
             )
-        normalized = np.clip(normalized, 0.0, 1.0)  # host-only path
+        normalized = np.clip(normalized, 0.0, 1.0)
         self.thetas = 2.0 * np.arcsin(normalized)
         self.phis = np.mod(-0.5 * self.thetas - 0.5 * np.pi, 2.0 * np.pi)
 
@@ -164,32 +163,28 @@ class DiagonalStage:
         return self.singular_values / self.gain
 
     # ------------------------------------------------------------------ #
-    def _perturbed_parameters(self, perturbation, backend=None) -> tuple:
+    def _perturbed_parameters(self, perturbation) -> tuple:
         """Attenuator parameters under an (already validated) perturbation.
 
         Shared by the single and batched amplitude paths: ``perturbation``
         may be a :class:`DiagonalPerturbation` (1-D fields) or a
         :class:`DiagonalPerturbationBatch` (2-D fields), whose arrays
         broadcast against the 1-D nominal parameters through the exact same
-        elementwise arithmetic.  Under a device ``backend`` the nominal
-        parameters move across once (cached) and the arithmetic runs in the
-        device namespace.
+        elementwise arithmetic.
         """
-        backend = backend if backend is not None else HOST_BACKEND
-        xp = backend.xp
-        thetas = backend.asarray_cached(self.thetas)
-        phis = backend.asarray_cached(self.phis)
-        r_in = backend.asarray_cached(self._nominal_r)
+        thetas = self.thetas
+        phis = self.phis
+        r_in = self._nominal_r
         r_out = r_in
         if perturbation is not None:
             if perturbation.delta_theta is not None:
-                thetas = thetas + xp.asarray(perturbation.delta_theta)
+                thetas = thetas + np.asarray(perturbation.delta_theta)
             if perturbation.delta_phi is not None:
-                phis = phis + xp.asarray(perturbation.delta_phi)
+                phis = phis + np.asarray(perturbation.delta_phi)
             if perturbation.delta_r_in is not None:
-                r_in = xp.clip(r_in + xp.asarray(perturbation.delta_r_in), 0.0, 1.0)
+                r_in = np.clip(r_in + np.asarray(perturbation.delta_r_in), 0.0, 1.0)
             if perturbation.delta_r_out is not None:
-                r_out = xp.clip(r_out + xp.asarray(perturbation.delta_r_out), 0.0, 1.0)
+                r_out = np.clip(r_out + np.asarray(perturbation.delta_r_out), 0.0, 1.0)
         return thetas, phis, r_in, r_out
 
     def attenuations(self, perturbation: Optional[DiagonalPerturbation] = None) -> np.ndarray:
@@ -221,20 +216,15 @@ class DiagonalStage:
         return self.matrix(None)
 
     def attenuations_batch(self, perturbation: DiagonalPerturbationBatch) -> np.ndarray:
-        """Complex bar-path amplitudes for ``B`` realizations, shape ``(B, k)``.
-
-        Evaluates in the active array backend's namespace (host by default).
-        """
-        backend = active_array_backend()
-        xp = backend.xp
+        """Complex bar-path amplitudes for ``B`` realizations, shape ``(B, k)``."""
         perturbation.validate(self.num_mzis)
         batch = perturbation.batch_size
         if self.num_mzis == 0:
-            return xp.zeros((batch, 0), dtype=xp.complex128)
-        thetas, phis, r_in, r_out = self._perturbed_parameters(perturbation, backend)
+            return np.zeros((batch, 0), dtype=np.complex128)
+        thetas, phis, r_in, r_out = self._perturbed_parameters(perturbation)
         amplitudes = mzi_transfer_components(thetas, phis, r_in, r2=r_out)[0]
         if amplitudes.ndim == 1:  # every parameter family unperturbed
-            amplitudes = xp.broadcast_to(amplitudes, (batch, self.num_mzis))
+            amplitudes = np.broadcast_to(amplitudes, (batch, self.num_mzis))
         return amplitudes
 
     def matrix_batch(
@@ -247,27 +237,21 @@ class DiagonalStage:
         Bit-identical to stacking ``B`` calls of :meth:`matrix` on the
         individual realizations.
         """
-        backend = active_array_backend()
-        xp = backend.xp
         if perturbation is None:
             if batch_size is None:
                 raise ValueError("batch_size is required when perturbation is None")
             if batch_size < 1:
                 raise ValueError(f"batch_size must be >= 1, got {batch_size}")
             nominal = self.matrix(None)
-            if backend.is_host:
-                return np.broadcast_to(nominal, (batch_size,) + nominal.shape).copy()
-            sigma = xp.empty((batch_size,) + nominal.shape, dtype=xp.complex128)
-            sigma[...] = xp.asarray(nominal)
-            return sigma
+            return np.broadcast_to(nominal, (batch_size,) + nominal.shape).copy()
         batch = perturbation.batch_size
         if batch_size is not None and batch_size != batch:
             raise ShapeError(f"batch_size {batch_size} does not match perturbation batch {batch}")
         rows, cols = self.shape
-        sigma = xp.zeros((batch, rows, cols), dtype=xp.complex128)
+        sigma = np.zeros((batch, rows, cols), dtype=np.complex128)
         amplitudes = self.gain * self.attenuations_batch(perturbation)
         k = self.num_mzis
-        indices = xp.arange(k)
+        indices = np.arange(k)
         sigma[:, indices, indices] = amplitudes
         return sigma
 

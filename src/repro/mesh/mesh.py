@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..arrays import HOST_BACKEND, active_array_backend
 from ..arrays.sweep import ColumnProgram, SweepShape, apply_column_sweep, select_sweep_kernel
 from ..exceptions import ShapeError, VariationModelError
 from ..photonics import constants
@@ -106,7 +105,7 @@ class MeshPerturbation:
                 return None
             if values.shape != mzi_mask.shape:
                 raise ShapeError(f"mask shape {mzi_mask.shape} does not match values {values.shape}")
-            return np.where(mzi_mask, values, 0.0)  # host-only path
+            return np.where(mzi_mask, values, 0.0)
 
         return MeshPerturbation(
             delta_theta=_mask(self.delta_theta),
@@ -154,8 +153,7 @@ class MeshPerturbationBatch(PerturbationBatchFields):
     def validate(self, num_mzis: int, n_modes: int) -> None:
         """Check array shapes ``(B, ...)`` against the mesh dimensions.
 
-        Host fields go through the historical float64 conversion; fields
-        sampled on a device backend are shape-checked in place (see
+        Fields go through the historical float64 conversion (see
         :func:`repro.mesh._batch.ensure_batch_field`).
         """
         batch = self.batch_size
@@ -251,10 +249,6 @@ class MZIMesh:
             spans=spans,
             bases=tuple(bases),
         )
-        # Per-array-backend copies of the program (device namespaces index
-        # with their own arrays); the mesh structure never changes (retune
-        # only rewrites phases), so entries stay valid.
-        self._device_structure: Dict[str, ColumnProgram] = {}
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -398,58 +392,40 @@ class MZIMesh:
         # run the packed program through the selected sweep kernel.
         program = self._column_program
         sorted_components = tuple(c[..., program.perm] for c in components)
-        kernel = select_sweep_kernel(
-            HOST_BACKEND, SweepShape(self.n, 1, program.num_columns, self.scheme)
-        )
-        apply_column_sweep(HOST_BACKEND, matrix, sorted_components, program, kernel=kernel)
-        return np.exp(1j * output_phases)[:, np.newaxis] * matrix  # host-only path
+        kernel = select_sweep_kernel(SweepShape(self.n, 1, program.num_columns, self.scheme))
+        apply_column_sweep(matrix, sorted_components, program, kernel=kernel)
+        return np.exp(1j * output_phases)[:, np.newaxis] * matrix
 
-    def _blocks_and_phases(self, perturbation, backend=None) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    def _blocks_and_phases(self, perturbation) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
         """Perturbed block components and output phases, shared by both paths.
 
         ``perturbation`` may be a :class:`MeshPerturbation` (1-D fields) or a
         :class:`MeshPerturbationBatch` (2-D fields, leading batch axis); the
         fields broadcast against the 1-D nominal parameter arrays either way,
         so batched parameters go through the exact same elementwise
-        arithmetic as single realizations.  Under a device ``backend`` the
-        nominal parameter arrays are moved across once (cached transfer) and
-        every operation runs in the device namespace; the host backend
-        executes the exact historical NumPy calls.
+        arithmetic as single realizations.
         """
-        backend = backend if backend is not None else HOST_BACKEND
-        xp = backend.xp
-        thetas = backend.asarray_cached(self._thetas)
-        phis = backend.asarray_cached(self._phis)
-        r_in = backend.asarray_cached(self._nominal_r)
+        thetas = self._thetas
+        phis = self._phis
+        r_in = self._nominal_r
         r_out = r_in
-        output_phases = backend.asarray_cached(self.output_phases)
+        output_phases = self.output_phases
         if perturbation is not None:
             if perturbation.delta_theta is not None:
-                thetas = thetas + xp.asarray(perturbation.delta_theta)
+                thetas = thetas + np.asarray(perturbation.delta_theta)
             if perturbation.delta_phi is not None:
-                phis = phis + xp.asarray(perturbation.delta_phi)
+                phis = phis + np.asarray(perturbation.delta_phi)
             if perturbation.delta_r_in is not None:
-                r_in = xp.clip(r_in + xp.asarray(perturbation.delta_r_in), 0.0, 1.0)
+                r_in = np.clip(r_in + np.asarray(perturbation.delta_r_in), 0.0, 1.0)
             if perturbation.delta_r_out is not None:
-                r_out = xp.clip(r_out + xp.asarray(perturbation.delta_r_out), 0.0, 1.0)
+                r_out = np.clip(r_out + np.asarray(perturbation.delta_r_out), 0.0, 1.0)
             if perturbation.delta_output_phase is not None:
-                output_phases = output_phases + xp.asarray(perturbation.delta_output_phase)
+                output_phases = output_phases + np.asarray(perturbation.delta_output_phase)
         return mzi_transfer_components(thetas, phis, r_in, r2=r_out), output_phases
 
-    def column_program(self, backend=None) -> ColumnProgram:
-        """The packed column program, converted (and cached) for ``backend``.
-
-        Host backends reuse the precomputed NumPy program; device backends
-        get a cached device copy (the structure is immutable —
-        :meth:`retune` rewrites only phases — so entries never go stale).
-        """
-        if backend is None or backend.is_host:
-            return self._column_program
-        cached = self._device_structure.get(backend.name)
-        if cached is None:
-            cached = self._column_program.to_backend(backend)
-            self._device_structure[backend.name] = cached
-        return cached
+    def column_program(self) -> ColumnProgram:
+        """The packed column program (immutable: :meth:`retune` rewrites only phases)."""
+        return self._column_program
 
     def perturbed_matrix(self, perturbation: MeshPerturbation) -> np.ndarray:
         """Alias of :meth:`matrix` that makes call sites more readable."""
@@ -484,22 +460,19 @@ class MZIMesh:
         Returns
         -------
         numpy.ndarray
-            Complex array of shape ``(B, n, n)`` (in the active array
-            backend's namespace), bit-identical to stacking ``B`` calls of
-            :meth:`matrix` on the individual realizations.
+            Complex array of shape ``(B, n, n)``, bit-identical to stacking
+            ``B`` calls of :meth:`matrix` on the individual realizations.
         """
-        backend = active_array_backend()
-        xp = backend.xp
         if perturbation is None:
             if batch_size is None:
                 raise ValueError("batch_size is required when perturbation is None")
             if batch_size < 1:
                 raise ValueError(f"batch_size must be >= 1, got {batch_size}")
             nominal = self.matrix(None)
-            if workspace is None and backend.is_host:
+            if workspace is None:
                 return np.broadcast_to(nominal, (batch_size,) + nominal.shape).copy()
-            matrices = self._batch_buffer(backend, workspace, workspace_key, batch_size)
-            matrices[...] = xp.asarray(nominal)
+            matrices = self._batch_buffer(workspace, workspace_key, batch_size)
+            matrices[...] = nominal
             return matrices
 
         perturbation.validate(self.num_mzis, self.n)
@@ -508,49 +481,46 @@ class MZIMesh:
             raise ShapeError(f"batch_size {batch_size} does not match perturbation batch {batch}")
 
         # (B, num_mzis) block components; unperturbed parameter families broadcast.
-        components, output_phases = self._blocks_and_phases(perturbation, backend)
+        components, output_phases = self._blocks_and_phases(perturbation)
         if components[0].ndim == 1:  # only the output phase screen was perturbed
-            components = tuple(xp.broadcast_to(c, (batch,) + c.shape) for c in components)
-        matrices = self._batch_buffer(backend, workspace, workspace_key, batch)
-        matrices[...] = xp.eye(self.n, dtype=xp.complex128)
+            components = tuple(np.broadcast_to(c, (batch,) + c.shape) for c in components)
+        matrices = self._batch_buffer(workspace, workspace_key, batch)
+        matrices[...] = np.eye(self.n, dtype=np.complex128)
         # Gather each component into column-sorted order once (cheap views
         # per column afterwards; pure reordering), then run the sweep.  A
-        # kernel that blocks internally (the fused megakernel, the device
-        # kernels) takes the whole batch in one call; otherwise chunk the
+        # kernel that blocks internally (the fused and numba megakernels)
+        # takes the whole batch in one call; otherwise chunk the
         # batch axis here so the per-chunk matrices and gathered rows stay
         # cache-resident during the column sweep.
-        program = self.column_program(backend)
+        program = self._column_program
         sorted_components = tuple(c[..., program.perm] for c in components)
-        kernel = select_sweep_kernel(
-            backend, SweepShape(self.n, batch, program.num_columns, self.scheme)
-        )
+        kernel = select_sweep_kernel(SweepShape(self.n, batch, program.num_columns, self.scheme))
         if kernel.blocks_internally:
-            apply_column_sweep(backend, matrices, sorted_components, program, kernel=kernel)
+            apply_column_sweep(matrices, sorted_components, program, kernel=kernel)
         else:
             chunk = max(1, _APPLY_CHUNK_ELEMENTS // max(1, self.n * self.n))
             for start in range(0, batch, chunk):
                 stop = min(start + chunk, batch)
                 apply_column_sweep(
-                    backend,
                     matrices[start:stop],
                     tuple(c[start:stop] for c in sorted_components),
                     program,
                     kernel=kernel,
                 )
-        phases = xp.exp(1j * output_phases)
+        phases = np.exp(1j * output_phases)
         if phases.ndim == 1:
             phases = phases[None]
         if workspace is None:
             return phases[:, :, None] * matrices
-        xp.multiply(phases[:, :, None], matrices, out=matrices)
+        np.multiply(phases[:, :, None], matrices, out=matrices)
         return matrices
 
-    def _batch_buffer(self, backend, workspace, workspace_key, batch: int):
+    def _batch_buffer(self, workspace, workspace_key, batch: int):
         """The ``(B, n, n)`` destination of the batched sweep (arena or fresh)."""
         shape = (batch, self.n, self.n)
         if workspace is not None:
             return workspace.buffer((workspace_key, "mesh/matrices"), shape, np.complex128)
-        return backend.empty(shape, np.complex128)
+        return np.empty(shape, np.complex128)
 
     # ------------------------------------------------------------------ #
     # summaries

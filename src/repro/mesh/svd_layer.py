@@ -16,7 +16,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..arrays import active_array_backend
 from ..exceptions import ConfigurationError, DecompositionError, ShapeError
 from ..observability.recorder import active as _active_recorder
 from ..utils.linalg import svd_decompose
@@ -173,7 +172,7 @@ class PhotonicLinearLayer:
     # parameter-level (de)serialization — shared-memory hosting
     # ------------------------------------------------------------------ #
     def tuned_parameters(self) -> Dict[str, np.ndarray]:
-        """Every tuned parameter array of the compiled layer, as host arrays.
+        """Every tuned parameter array of the compiled layer.
 
         Together with the weight matrix, the scheme and the gain, these
         arrays fully determine the layer: the mesh *structure* is a pure
@@ -336,7 +335,7 @@ class PhotonicLinearLayer:
         amplitudes = self.diagonal.gain * self.diagonal.attenuations(perturbation.sigma)
         return self._scale_columns(u, amplitudes) @ v
 
-    def _scale_columns(self, u: np.ndarray, amplitudes: np.ndarray, xp=np, out=None) -> np.ndarray:
+    def _scale_columns(self, u: np.ndarray, amplitudes: np.ndarray, out=None) -> np.ndarray:
         """``u @ Sigma`` evaluated as column scaling.
 
         ``Sigma`` is (rectangular) diagonal, so the product scales the first
@@ -347,9 +346,9 @@ class PhotonicLinearLayer:
         """
         k = self.diagonal.num_mzis
         rows, cols = self.diagonal.shape
-        amplitudes = xp.asarray(amplitudes)
+        amplitudes = np.asarray(amplitudes)
         if out is None:
-            scaled = xp.zeros(u.shape[:-2] + (rows, cols), dtype=xp.complex128)
+            scaled = np.zeros(u.shape[:-2] + (rows, cols), dtype=np.complex128)
         else:
             scaled = out
             scaled[...] = 0.0
@@ -385,8 +384,6 @@ class PhotonicLinearLayer:
                 raise ShapeError(
                     f"batch_size {batch_size} does not match perturbation batch {batch}"
                 )
-        backend = active_array_backend()
-        xp = backend.xp
         u_pert = perturbation.u if perturbation is not None else None
         v_pert = perturbation.v if perturbation is not None else None
         sigma_pert = perturbation.sigma if perturbation is not None else None
@@ -401,18 +398,17 @@ class PhotonicLinearLayer:
         else:
             amplitudes = self.diagonal.gain * self.diagonal.attenuations_batch(sigma_pert)
         if workspace is None:
-            return self._scale_columns(u, amplitudes, xp=xp) @ v
+            return self._scale_columns(u, amplitudes) @ v
         rows, cols = self.diagonal.shape
         scaled = self._scale_columns(
             u,
             amplitudes,
-            xp=xp,
             out=workspace.buffer((workspace_key, "svd/scaled"), (batch, rows, cols), np.complex128),
         )
         out = workspace.buffer(
             (workspace_key, "svd/matrix"), (batch, rows, int(v.shape[-1])), np.complex128
         )
-        return xp.matmul(scaled, v, out=out)
+        return np.matmul(scaled, v, out=out)
 
     def ideal_matrix(self) -> np.ndarray:
         """Nominal hardware matrix (equals ``weight`` to numerical precision)."""
@@ -420,7 +416,7 @@ class PhotonicLinearLayer:
 
     def reconstruction_error(self) -> float:
         """Max absolute difference between the nominal hardware matrix and the weights."""
-        return float(np.max(np.abs(self.ideal_matrix() - self.weight)))  # host-only path
+        return float(np.max(np.abs(self.ideal_matrix() - self.weight)))
 
     # ------------------------------------------------------------------ #
     # application

@@ -1,7 +1,7 @@
 """Zero-overhead observability: span tracing, worker telemetry, metrics.
 
-The engine spans multiprocess pools, shared-memory hosting, a GPU backend
-and a runtime sweep-kernel registry; this package makes all of it visible
+The engine spans multiprocess pools, shared-memory hosting, a network
+fleet and a runtime sweep-kernel registry; this package makes all of it visible
 without making any of it slower:
 
 * :mod:`~repro.observability.recorder` — the span/counter recorder behind

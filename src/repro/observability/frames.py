@@ -14,7 +14,7 @@ so the merge into the trace is deterministic.
 Because enablement travels *through the wrapped function* rather than
 through environment or global state, the scheme works identically for the
 serial backend (inline calls), the multiprocess backend (fork/spawn
-workers, persistent pools included) and the GPU backend.
+workers, persistent pools included) and the fleet backend.
 
 When tracing is disabled, :func:`map_chunks` is a straight pass-through to
 ``backend.map`` — no wrapper, no frames, structurally the pre-observability
@@ -141,7 +141,7 @@ def _payload_bytes(value: Any) -> int:
     """Total ``nbytes`` of the arrays inside a (possibly nested) result.
 
     Reads only the ``nbytes`` attribute — never array contents — so the
-    accounting cannot perturb device synchronization or values.
+    accounting cannot perturb values.
     """
     nbytes = getattr(value, "nbytes", None)
     if nbytes is not None:
@@ -184,7 +184,7 @@ class InstrumentedChunkEvaluator:
     Carrying enablement inside the mapped function — instead of an
     environment variable or module global that fork may or may not copy —
     is what makes worker telemetry uniform across Serial / Multiprocess /
-    Gpu backends and across pool reuse.
+    Fleet backends and across pool reuse.
 
     A chunk-local :class:`~repro.observability.dispatch.DispatchAggregator`
     is installed around the evaluation, so kernel dispatches triggered by

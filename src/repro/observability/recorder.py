@@ -15,9 +15,8 @@ reads result-array contents; span/frame/dispatch records are deterministic
 in everything but their timing fields.  Traced runs are therefore
 bit-identical to untraced runs — asserted by the observability test suite.
 
-This module (like the rest of the package) is numpy-free and enforced so
-by ``tools/check_numpy_seam.py``: telemetry must stay importable from the
-namespace-generic kernels without dragging a host array library in.
+This module (like the rest of the package) is numpy-free: telemetry only
+ever touches array metadata, never contents.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arrays import active_array_backend
-from ..arrays import kernels as _kernels
+from ..arrays.kernels import log_softmax, matmul_result_shape, matmul_transposed, softplus
 from ..exceptions import ConfigurationError, ShapeError
 from ..mesh.svd_layer import LayerPerturbation, LayerPerturbationBatch, PhotonicLinearLayer
 from ..utils.validation import as_complex_array
@@ -119,36 +118,6 @@ class SPNNArchitecture:
         return [
             (self.layer_dims[i + 1], self.layer_dims[i]) for i in range(self.num_linear_layers)
         ]
-
-
-# --------------------------------------------------------------------------- #
-# numerically stable real helpers (thin wrappers over the xp kernels)
-# --------------------------------------------------------------------------- #
-# The arithmetic lives in :mod:`repro.arrays.kernels` and targets the active
-# array backend's namespace; with the default (NumPy) backend the call
-# sequences are exactly the historical ones, so results are bit-identical.
-
-
-def _softplus(
-    x: np.ndarray, beta: float = 1.0, threshold: float = 30.0, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    return _kernels.softplus(active_array_backend().xp, x, beta=beta, threshold=threshold, out=out)
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    return _kernels.log_softmax(active_array_backend().xp, x)
-
-
-def _matmul_result_shape(activations: np.ndarray, matrix: np.ndarray) -> Tuple[int, ...]:
-    """Shape of ``activations @ swapaxes(matrix, -2, -1)`` under broadcasting."""
-    return _kernels.matmul_result_shape(activations, matrix)
-
-
-def _matmul_transposed(
-    activations: np.ndarray, matrix: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``activations @ matrix.T`` (see :func:`repro.arrays.kernels.matmul_transposed`)."""
-    return _kernels.matmul_transposed(active_array_backend().xp, activations, matrix, out=out)
 
 
 class SPNN:
@@ -378,7 +347,7 @@ class SPNN:
         self, features: np.ndarray, matrices: Sequence[np.ndarray], workspace=None
     ) -> np.ndarray:
         """Forward pass of validated ``(samples, n)`` features through stacked matrices."""
-        return _log_softmax(
+        return log_softmax(
             self._modulus_batch_with_matrices(features, matrices, workspace=workspace) ** 2
         )
 
@@ -393,13 +362,8 @@ class SPNN:
         intermediates alias; every buffer is fully overwritten, keeping the
         values bit-identical to the allocating path.  The returned modulus
         may be a workspace view — valid until the next workspace-backed
-        call.  Under a device array backend the features move across once
-        (cached transfer) and the whole pipeline runs device-resident.
+        call.
         """
-        backend = active_array_backend()
-        xp = backend.xp
-        if not backend.is_host:
-            features = backend.asarray_cached(features)
         activations = features[None, :, :]  # (1, samples, n) broadcasts over B
         last = len(matrices) - 1
         beta = self.architecture.softplus_beta
@@ -407,28 +371,28 @@ class SPNN:
             out = None
             if workspace is not None:
                 out = workspace.buffer(
-                    ("spnn/matmul", index), _matmul_result_shape(activations, matrix), np.complex128
+                    ("spnn/matmul", index), matmul_result_shape(activations, matrix), np.complex128
                 )
-            activations = _matmul_transposed(activations, matrix, out=out)
+            activations = matmul_transposed(activations, matrix, out=out)
             if index != last:
                 if workspace is not None:
-                    modulus = xp.abs(
+                    modulus = np.abs(
                         activations,
                         out=workspace.buffer(("spnn/modulus", index), activations.shape, np.float64),
                     )
-                    activations = _softplus(
+                    activations = softplus(
                         modulus,
                         beta=beta,
                         out=workspace.buffer(("spnn/softplus", index), activations.shape, np.float64),
                     )
                 else:
-                    activations = _softplus(xp.abs(activations), beta=beta)
+                    activations = softplus(np.abs(activations), beta=beta)
         if workspace is not None:
-            return xp.abs(
+            return np.abs(
                 activations,
                 out=workspace.buffer(("spnn/modulus", last), activations.shape, np.float64),
             )
-        return xp.abs(activations)
+        return np.abs(activations)
 
     def accuracy_batch(
         self,
@@ -460,8 +424,6 @@ class SPNN:
             raise ShapeError(
                 f"features batch {features.shape[0]} does not match labels {labels.shape}"
             )
-        backend = active_array_backend()
-        xp = backend.xp
         matrices = self.hardware_matrices_batch(
             perturbations, batch_size=batch_size, workspace=workspace
         )
@@ -470,8 +432,7 @@ class SPNN:
             chunk_size = self._forward_chunk_size(features.shape[0])
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        device_labels = labels if backend.is_host else backend.asarray_cached(labels)
-        accuracies = xp.empty(batch, dtype=xp.float64)
+        accuracies = np.empty(batch, dtype=np.float64)
         for start in range(0, batch, chunk_size):
             stop = min(start + chunk_size, batch)
             # argmax over the output modulus equals argmax over the published
@@ -480,8 +441,8 @@ class SPNN:
             modulus = self._modulus_batch_with_matrices(
                 features, [matrix[start:stop] for matrix in matrices], workspace=workspace
             )
-            predictions = xp.argmax(modulus, axis=-1)
-            accuracies[start:stop] = xp.mean(predictions == device_labels[None, :], axis=1)
+            predictions = np.argmax(modulus, axis=-1)
+            accuracies[start:stop] = np.mean(predictions == labels[None, :], axis=1)
         return accuracies
 
     def _forward_chunk_size(self, num_samples: int, target_bytes: int = 8 * 1024 * 1024) -> int:
@@ -496,7 +457,7 @@ class SPNN:
     def _forward_with_matrices(self, features: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
         single = np.asarray(features).ndim == 1
         modulus = self._modulus_with_matrices(self._validated_features(features), matrices)
-        log_probs = _kernels.log_softmax(np, modulus**2)
+        log_probs = log_softmax(modulus**2)
         return log_probs[0] if single else log_probs
 
     def _modulus_with_matrices(self, features: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -508,21 +469,15 @@ class SPNN:
         squaring of non-negative values and subtracting a per-row constant
         are monotone), so prediction/accuracy helpers can consume the
         modulus directly and skip the normalization work.
-
-        This is the single-realization reference path and is host-only by
-        design (its matrices come from the host-only mesh evaluators), so
-        the kernels are pinned to the NumPy namespace rather than the
-        active backend — a scalar trial scheduled under ``GpuBackend``
-        simply computes on the host.
         """
         activations = features
         last = len(matrices) - 1
         for index, matrix in enumerate(matrices):
-            activations = _kernels.matmul_transposed(np, activations, matrix)
+            activations = matmul_transposed(activations, matrix)
             if index != last:
-                modulus = np.abs(activations)  # host-only path
-                activations = _kernels.softplus(np, modulus, beta=self.architecture.softplus_beta)
-        return np.abs(activations)  # host-only path
+                modulus = np.abs(activations)
+                activations = softplus(modulus, beta=self.architecture.softplus_beta)
+        return np.abs(activations)
 
     # ------------------------------------------------------------------ #
     # prediction / accuracy helpers
@@ -543,7 +498,7 @@ class SPNN:
             log_probs = self.forward_hardware(features, perturbations)
         else:
             log_probs = self.forward_software(features)
-        return np.argmax(log_probs, axis=-1)  # host-only path
+        return np.argmax(log_probs, axis=-1)
 
     def accuracy(
         self,
@@ -564,7 +519,7 @@ class SPNN:
         modulus = self._modulus_with_matrices(self._validated_features(features), matrices)
         # argmax over the modulus equals argmax over the log-probabilities
         # (see _modulus_with_matrices), matching predict() exactly.
-        predictions = np.argmax(modulus, axis=-1)  # host-only path
+        predictions = np.argmax(modulus, axis=-1)
         if single:
             predictions = predictions[0]
         if np.ndim(predictions) == 0 and labels.shape == (1,):
@@ -575,7 +530,7 @@ class SPNN:
             )
         if labels.size == 0:
             raise ConfigurationError("cannot compute accuracy on an empty dataset")
-        return float(np.mean(predictions == labels))  # host-only path
+        return float(np.mean(predictions == labels))
 
     def hardware_fidelity(self) -> float:
         """Max |difference| between nominal hardware matrices and the weights."""

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..arrays import active_array_backend, get_array_backend, use_array_backend
 from ..exceptions import ConfigurationError
 from ..mesh.svd_layer import LayerPerturbationBatch, PhotonicLinearLayer
 from ..utils.rng import RNGLike, ensure_rng, spawn_rngs
@@ -180,15 +179,6 @@ class NoiseInjector:
         supplying reusable offset buffers on the non-amortized path
         (amortized draws already recycle their own cache).  Purely an
         allocation optimization; values are bit-identical.
-    device:
-        ``"gpu"`` runs the K-draw forward — the stacked mesh column sweeps
-        and the offset subtraction — on the device array backend selected
-        by ``REPRO_GPU_ARRAY_BACKEND`` (CuPy by default, ``mock_device``
-        for the CPU-only stand-in), exactly like ``device="gpu"`` on the
-        Monte Carlo engine.  Draw randomness stays on the host streams, so
-        the mock backend is bit-identical and a real GPU matches to
-        ``allclose``; the returned offsets are host arrays either way.
-        ``"cpu"``/``None`` keeps the host path untouched.
     """
 
     def __init__(
@@ -204,7 +194,6 @@ class NoiseInjector:
         drift_threshold: float = 1.0,
         reuse_draws: bool = False,
         workspace: Optional[VectorizedWorkspace] = None,
-        device: Optional[str] = None,
     ):
         if draws < 1:
             raise ConfigurationError(f"draws must be >= 1, got {draws}")
@@ -233,20 +222,6 @@ class NoiseInjector:
         self.drift_threshold = float(drift_threshold)
         self.reuse_draws = bool(reuse_draws)
         self.workspace = workspace
-        if device is not None and device not in ("cpu", "gpu"):
-            raise ConfigurationError(f"device must be 'cpu', 'gpu' or None, got {device!r}")
-        self.device = device
-        if device == "gpu":
-            # Resolve eagerly so a missing CuPy fails at configuration time.
-            from ..execution.backends import default_gpu_array_backend
-
-            self._array_backend = get_array_backend(default_gpu_array_backend())
-            self._device_workspace: Optional[VectorizedWorkspace] = VectorizedWorkspace(
-                self._array_backend
-            )
-        else:
-            self._array_backend = None
-            self._device_workspace = None
         self._layers: List[PhotonicLinearLayer] = []
         self._nominal: List[np.ndarray] = []
         self._steps_since_compile: Optional[int] = None  # None = no snapshot yet
@@ -369,22 +344,12 @@ class NoiseInjector:
                 self._steps_since_compile += 1
             return None
         self._maybe_refresh(weights)
-        if self._array_backend is None:
-            offsets = self._resolve_offsets(scaled, sigma_scale)
-        else:
-            # The draws, the stacked mesh sweeps and the offset subtraction
-            # all run device-resident; only the finished (K, out, in)
-            # offsets come back for the autograd forward.
-            with use_array_backend(self._array_backend) as backend:
-                offsets = [
-                    backend.to_host(offset)
-                    for offset in self._resolve_offsets(scaled, sigma_scale)
-                ]
+        offsets = self._resolve_offsets(scaled, sigma_scale)
         self._steps_since_compile += 1
         return offsets
 
     def _resolve_offsets(self, scaled: UncertaintyModel, sigma_scale: float) -> List[np.ndarray]:
-        """The per-step offsets under the *active* array backend."""
+        """The per-step offsets: fresh draws, or the amortized-draw cache."""
         if not self.reuse_draws:
             return self._draw_offsets(scaled, use_workspace=True)
         if self._cached_offsets is not None and sigma_scale == self._cached_scale:
@@ -427,25 +392,19 @@ class NoiseInjector:
         use_workspace: bool,
     ) -> List[np.ndarray]:
         offsets: List[np.ndarray] = []
-        backend = active_array_backend()
-        xp = backend.xp
-        if backend.is_host:
-            workspace = self.workspace if use_workspace else None
-        else:
-            workspace = self._device_workspace if use_workspace else None
-        for index, (layer, host_nominal, batch) in enumerate(zip(self._layers, self._nominal, batches)):
-            nominal = host_nominal if backend.is_host else backend.asarray_cached(host_nominal)
+        workspace = self.workspace if use_workspace else None
+        for index, (layer, nominal, batch) in enumerate(zip(self._layers, self._nominal, batches)):
             if workspace is not None:
                 out = workspace.buffer(
-                    ("injector/offsets", index), (self.draws,) + host_nominal.shape, np.complex128
+                    ("injector/offsets", index), (self.draws,) + nominal.shape, np.complex128
                 )
                 if batch is None:
                     out[...] = 0.0
                 else:
-                    xp.subtract(layer.matrix_batch(batch, batch_size=self.draws), nominal, out=out)
+                    np.subtract(layer.matrix_batch(batch, batch_size=self.draws), nominal, out=out)
                 offsets.append(out)
             elif batch is None:
-                offsets.append(xp.zeros((self.draws,) + host_nominal.shape, dtype=np.complex128))
+                offsets.append(np.zeros((self.draws,) + nominal.shape, dtype=np.complex128))
             else:
                 offsets.append(layer.matrix_batch(batch, batch_size=self.draws) - nominal)
         return offsets
@@ -474,17 +433,15 @@ class NoiseInjector:
             for stage in (batch.u, batch.v, batch.sigma):
                 if stage is not None:
                     stage.scale_in_place(ratio)
-        backend = active_array_backend()
-        xp = backend.xp
         for index, (layer, nominal, batch) in enumerate(
             zip(self._layers, self._nominal, self._cached_batches)
         ):
             if batch is None:
                 self._cached_offsets[index][...] = 0.0
             else:
-                xp.subtract(
+                np.subtract(
                     layer.matrix_batch(batch, batch_size=self.draws),
-                    nominal if backend.is_host else backend.asarray_cached(nominal),
+                    nominal,
                     out=self._cached_offsets[index],
                 )
 

@@ -41,41 +41,23 @@ from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from ..arrays import ArrayBackend, HOST_BACKEND, active_array_backend
-
 __all__ = ["VectorizedWorkspace", "process_workspace", "reset_process_workspace"]
 
 
 class VectorizedWorkspace:
-    """Keyed arena of reusable scratch buffers for stacked vectorized kernels.
+    """Keyed arena of reusable scratch buffers for stacked vectorized kernels."""
 
-    The arena is bound to an :class:`~repro.arrays.ArrayBackend` (the host
-    NumPy backend by default): :meth:`buffer` allocates in that backend's
-    namespace, which makes the workspace the single device-buffer
-    allocation point of the stacked hot paths — activating a device backend
-    turns every workspace-backed intermediate into a device-resident buffer
-    with no kernel changes.  :meth:`host_buffer` always allocates host
-    memory (staging buffers for host-side draws and stacking).
-    """
+    __slots__ = ("_buffers",)
 
-    __slots__ = ("_buffers", "_host_buffers", "_backend")
-
-    def __init__(self, backend: Optional[ArrayBackend] = None) -> None:
-        self._backend = backend if backend is not None else HOST_BACKEND
-        self._buffers: Dict[Hashable, object] = {}
-        self._host_buffers: Dict[Hashable, np.ndarray] = {}
-
-    @property
-    def backend(self) -> ArrayBackend:
-        """The array backend this arena allocates on."""
-        return self._backend
+    def __init__(self) -> None:
+        self._buffers: Dict[Hashable, np.ndarray] = {}
 
     def buffer(
         self,
         key: Hashable,
         shape: Tuple[int, ...],
         dtype: np.dtype = np.float64,
-    ):
+    ) -> np.ndarray:
         """An uninitialized reusable buffer of ``shape`` / ``dtype`` for ``key``.
 
         The backing allocation is grown only when the requested element
@@ -83,66 +65,40 @@ class VectorizedWorkspace:
         smaller requests return a contiguous leading view, so alternating
         full and partial chunk sizes never reallocates.
         """
-        return self._allocate(self._buffers, self._backend, key, shape, dtype)
-
-    def host_buffer(
-        self,
-        key: Hashable,
-        shape: Tuple[int, ...],
-        dtype: np.dtype = np.float64,
-    ) -> np.ndarray:
-        """Like :meth:`buffer` but always backed by host (NumPy) memory.
-
-        On a host-bound arena this is the same key space as :meth:`buffer`
-        (so existing keys keep their allocations); on a device-bound arena
-        host staging buffers live in their own key space.
-        """
-        if self._backend.is_host:
-            return self.buffer(key, shape, dtype)
-        return self._allocate(self._host_buffers, HOST_BACKEND, key, shape, dtype)
-
-    @staticmethod
-    def _allocate(buffers: Dict, backend: ArrayBackend, key, shape, dtype):
         shape = tuple(int(extent) for extent in shape)
         if any(extent < 0 for extent in shape):
             raise ValueError(f"buffer shape must be non-negative, got {shape}")
         dtype = np.dtype(dtype)
         size = prod(shape)
-        backing = buffers.get(key)
+        backing = self._buffers.get(key)
         if backing is None or backing.dtype != dtype or backing.size < size:
-            backing = backend.empty((max(size, 1),), dtype)
-            buffers[key] = backing
+            backing = np.empty((max(size, 1),), dtype)
+            self._buffers[key] = backing
         return backing[:size].reshape(shape)
 
     @property
     def num_buffers(self) -> int:
-        return len(self._buffers) + len(self._host_buffers)
+        return len(self._buffers)
 
     @property
     def nbytes(self) -> int:
         """Total bytes currently held by the arena's backing allocations."""
-        return sum(backing.nbytes for backing in self._buffers.values()) + sum(
-            backing.nbytes for backing in self._host_buffers.values()
-        )
+        return sum(backing.nbytes for backing in self._buffers.values())
 
     def clear(self) -> None:
         """Drop every backing allocation (buffers handed out stay valid)."""
         self._buffers.clear()
-        self._host_buffers.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
-        return (
-            f"VectorizedWorkspace(backend={self._backend.name!r}, "
-            f"buffers={self.num_buffers}, nbytes={self.nbytes})"
-        )
+        return f"VectorizedWorkspace(buffers={self.num_buffers}, nbytes={self.nbytes})"
 
 
-#: The per-process shared arenas, one per array backend (lazily created).
-_PROCESS_WORKSPACES: Dict[str, VectorizedWorkspace] = {}
+#: The per-process shared arena (lazily created).
+_PROCESS_WORKSPACE: Optional[VectorizedWorkspace] = None
 
 
 def process_workspace() -> VectorizedWorkspace:
-    """The process-local shared arena for the active array backend.
+    """The process-local shared arena.
 
     The trainer, the SPNN batched forward and the Monte Carlo batch trials
     all draw their scratch buffers from this single arena when workspace
@@ -150,17 +106,15 @@ def process_workspace() -> VectorizedWorkspace:
     set of allocations.  Worker processes of the multiprocess backend each
     lazily create their own instance on first use (module globals are
     per-process), which keeps buffer reuse free of any cross-process
-    aliasing by construction; device execution gets its own arena per
-    backend, so host and device buffers never share a key space.
+    aliasing by construction.
     """
-    backend = active_array_backend()
-    workspace = _PROCESS_WORKSPACES.get(backend.name)
-    if workspace is None:
-        workspace = VectorizedWorkspace(backend)
-        _PROCESS_WORKSPACES[backend.name] = workspace
-    return workspace
+    global _PROCESS_WORKSPACE
+    if _PROCESS_WORKSPACE is None:
+        _PROCESS_WORKSPACE = VectorizedWorkspace()
+    return _PROCESS_WORKSPACE
 
 
 def reset_process_workspace() -> None:
-    """Drop the process-local arenas (tests and memory-pressure escape hatch)."""
-    _PROCESS_WORKSPACES.clear()
+    """Drop the process-local arena (tests and memory-pressure escape hatch)."""
+    global _PROCESS_WORKSPACE
+    _PROCESS_WORKSPACE = None

@@ -1,6 +1,6 @@
 """One-shot micro-benchmark that fits the per-machine sweep cost table.
 
-``run_calibration`` times every available host-capable sweep kernel over
+``run_calibration`` times every available sweep kernel over
 a small ``(scheme, n, batch)`` grid — real :class:`~repro.mesh.mesh.
 MZIMesh` column programs with real perturbation batches, the exact
 inputs ``apply_column_sweep`` sees in production — and records the
@@ -23,8 +23,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional, Sequence, Tuple
 
-from ..arrays.namespace import HOST_BACKEND
-from ..arrays.sweep import apply_column_sweep, available_sweep_kernels, get_sweep_kernel
+import numpy as np
+
+from ..arrays.sweep import BACKEND_NAME, apply_column_sweep, available_sweep_kernels
 from ..observability.dispatch import use_collector
 from ..utils.rng import spawn_rngs
 from ..variation.models import UncertaintyModel
@@ -53,25 +54,21 @@ def _grid_inputs(scheme: str, n: int, max_batch: int):
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.01), spawn_rngs(17, max_batch)
     )
-    backend = HOST_BACKEND
-    components, _ = mesh._blocks_and_phases(perturbation, backend)
-    program = mesh.column_program(backend)
+    components, _ = mesh._blocks_and_phases(perturbation)
+    program = mesh.column_program()
     sorted_components = tuple(c[..., program.perm] for c in components)
-    xp = backend.xp
-    eye = xp.eye(n, dtype=xp.complex128)
+    eye = np.eye(n, dtype=np.complex128)
     return program, sorted_components, eye
 
 
 def _time_point(kernel_name: str, program, sorted_components, eye, batch: int, repeats: int) -> float:
-    backend = HOST_BACKEND
-    xp = backend.xp
     components = tuple(c[:batch] for c in sorted_components)
-    work = backend.empty((batch, program.n, program.n), dtype=xp.complex128)
+    work = np.empty((batch, program.n, program.n), dtype=np.complex128)
     best: Optional[float] = None
     for _ in range(max(1, repeats)):
         work[...] = eye
         start = perf_counter()
-        apply_column_sweep(backend, work, components, program, kernel=kernel_name)
+        apply_column_sweep(work, components, program, kernel=kernel_name)
         elapsed = perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
         if elapsed > _ONE_SHOT_SECONDS:
@@ -87,22 +84,20 @@ def run_calibration(
     repeats: int = 3,
     progress=None,
 ) -> CostTable:
-    """Measure the host-kernel cost grid and return the fitted table.
+    """Measure the sweep-kernel cost grid and return the fitted table.
 
-    ``kernels`` defaults to every registered kernel that is available and
-    supports the host backend.  ``progress`` (callable taking one string)
+    ``kernels`` defaults to every registered kernel that is available.
+    ``progress`` (callable taking one string)
     receives a line per grid point for the CLI.  Runs with the dispatch
     collector shadowed to ``None`` so calibration noise never pollutes an
     active trace's kernel metrics.
     """
-    backend = HOST_BACKEND
-    names = tuple(kernels) if kernels is not None else available_sweep_kernels(backend)
-    names = tuple(n for n in names if get_sweep_kernel(n).supports(backend))
+    names = tuple(kernels) if kernels is not None else available_sweep_kernels()
     if not names:
         raise RuntimeError("no sweep kernels available to calibrate")
     table = CostTable(
         fingerprint=machine_fingerprint(tuple(available_sweep_kernels())),
-        backend=backend.name,
+        backend=BACKEND_NAME,
     )
     with use_collector(None):
         for scheme in schemes:

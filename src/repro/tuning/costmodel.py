@@ -16,9 +16,8 @@ longer matches the running machine is *stale* and must not silently steer
 dispatch; loading raises :class:`CostTableError` and the policy falls
 back to the static preference order with a loud warning.
 
-This module is numpy-free (enforced by ``tools/check_numpy_seam.py``):
-cost tables are consulted from the numpy-free kernel registry, so they
-are plain dicts, floats and JSON — never arrays.
+This module is numpy-free: cost tables are plain dicts, floats and JSON
+— never arrays.
 """
 
 from __future__ import annotations

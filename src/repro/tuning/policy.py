@@ -5,8 +5,8 @@
 and more than one available kernel.  It loads — or, exactly once per
 machine, lazily builds — the per-machine :class:`~repro.tuning.costmodel.
 CostTable` and returns the kernel the table predicts cheapest, or
-``None`` to keep the static preference order (autotune off, non-host
-backend, no usable table, or no prediction advantage).
+``None`` to keep the static preference order (autotune off, no usable
+table, or no prediction advantage).
 
 Failure discipline: a corrupt or stale cache file must *never* silently
 steer dispatch and must *never* crash the sweep.  It warns loudly
@@ -19,9 +19,8 @@ set_feedback`) folds every timed ``apply_column_sweep`` call back into
 the table's observed layer with exponential decay, so real workload
 shapes sharpen the calibration-grid estimates as the process runs.
 
-Numpy-free (enforced by ``tools/check_numpy_seam.py``): everything here
-is dict lookups and floats; the measurement side lives in
-:mod:`repro.tuning.calibrate`.
+Numpy-free: everything here is dict lookups and floats; the measurement
+side lives in :mod:`repro.tuning.calibrate`.
 """
 
 from __future__ import annotations
@@ -191,25 +190,22 @@ def ensure_table(backend_name: str = "numpy") -> Optional[CostTable]:
     return table
 
 
-def choose_kernel_name(backend, shape, candidates: Sequence[str]) -> Optional[str]:
+def choose_kernel_name(shape, candidates: Sequence[str], backend_name: str = "numpy") -> Optional[str]:
     """Pick the predicted-cheapest kernel for ``shape``, or ``None``.
 
     ``None`` means "no opinion — keep the static preference order": that
-    is the answer whenever autotune is off, the backend is not the host
-    (device kernels are not what we calibrated), no table is usable, or
-    the table can't separate the candidates.  Ties keep static order
+    is the answer whenever autotune is off, no table is usable, or the
+    table can't separate the candidates.  Ties keep static order
     (strict ``<`` comparison), and a candidate the table has never seen
     is never chosen over one it has.
     """
     if len(candidates) < 2 or not autotune_enabled():
         return None
-    if not getattr(backend, "is_host", False):
-        return None
-    table = ensure_table(backend.name)
+    table = ensure_table(backend_name)
     if table is None:
         return None
     key = (
-        backend.name,
+        backend_name,
         table.generation,
         (int(shape.n), int(shape.batch), int(shape.columns), shape.scheme),
         tuple(candidates),

@@ -62,7 +62,6 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arrays import active_array_backend
 from ..mesh.svd_layer import LayerPerturbationBatch, PhotonicLinearLayer
 from .models import UncertaintyModel
 from .sampler import (
@@ -266,7 +265,6 @@ class DriftState:
         """
         if self.step < 0:
             raise RuntimeError("advance() the state before measuring drift")
-        xp = active_array_backend().xp
         total = None
         width = 0
         for index, spec in enumerate(self.specs):
@@ -277,12 +275,12 @@ class DriftState:
                 if stop <= start:
                     continue
                 block = effective[:, start:stop]
-                contribution = xp.mean(block * block, axis=1) * (stop - start)
+                contribution = np.mean(block * block, axis=1) * (stop - start)
                 total = contribution if total is None else total + contribution
                 width += stop - start
         if total is None or width == 0:
-            return xp.zeros(self.batch_size)
-        return xp.sqrt(total / width)
+            return np.zeros(self.batch_size)
+        return np.sqrt(total / width)
 
     def renull(self, rows=None) -> None:
         """Re-null the tunable phase families (all timelines or ``rows``).
@@ -300,13 +298,12 @@ class DriftState:
         """
         if self.step < 0:
             raise RuntimeError("advance() the state before re-nulling")
-        xp = active_array_backend().xp
         for index, spec in enumerate(self.specs):
             if spec is None or not spec.tunable:
                 continue
             z = self.z[index]
             if self.compensation[index] is None:
-                self.compensation[index] = xp.zeros(z.shape)
+                self.compensation[index] = np.zeros(z.shape)
             compensation = self.compensation[index]
             for start, stop in spec.tunable:
                 if rows is None:

@@ -177,4 +177,4 @@ class TestResolveBackend:
             resolve_backend(None, 0)
 
     def test_backend_names_constant(self):
-        assert set(BACKEND_NAMES) == {"serial", "multiprocess", "gpu", "fleet"}
+        assert set(BACKEND_NAMES) == {"serial", "multiprocess", "fleet"}

@@ -81,9 +81,8 @@ def test_info_command(capsys):
     assert "spnn-repro environment diagnostics" in out
     assert "platform" in out
     assert "cpus available" in out
-    assert "array backend" in out
     assert "sweep kernel" in out
-    assert "numpy" in out
+    assert "fused" in out
 
 
 def test_info_writes_json(tmp_path, capsys):
@@ -92,7 +91,6 @@ def test_info_writes_json(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(output.read_text())
     assert payload["cpus_available"] >= 1
-    assert payload["array_backends"]["numpy"]["available"] is True
     assert "looped" in payload["sweep_kernels"]
     for entry in payload["sweep_kernels"].values():
         assert entry["available"] == (entry["reason"] is None)

@@ -128,98 +128,6 @@ class TestCustomSampler:
             injector.weight_offsets(_weights())
 
 
-class TestDeviceInjector:
-    """``device='gpu'`` runs the K-draw forward device-resident.
-
-    On CPU-only machines the device is the strict mock namespace
-    (``REPRO_GPU_ARRAY_BACKEND=mock_device``), whose arithmetic is NumPy's
-    — so every offset must come back **bit-identical** to the CPU
-    injector, already re-hosted for the autograd forward.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _mock_device(self, monkeypatch):
-        from repro.arrays import available_array_backends
-        from repro.execution.backends import GPU_ARRAY_BACKEND_ENV, default_gpu_array_backend
-
-        if default_gpu_array_backend() not in available_array_backends():
-            monkeypatch.setenv(GPU_ARRAY_BACKEND_ENV, "mock_device")
-
-    @pytest.mark.parametrize("with_workspace", [False, True])
-    def test_offsets_bit_identical_to_cpu(self, with_workspace):
-        from repro.training.workspace import VectorizedWorkspace
-
-        weights = _weights()
-        host_workspace = VectorizedWorkspace() if with_workspace else None
-        cpu = NoiseInjector(
-            UncertaintyModel.both(0.01), draws=3, rng=5, workspace=host_workspace
-        )
-        gpu = NoiseInjector(
-            UncertaintyModel.both(0.01),
-            draws=3,
-            rng=5,
-            device="gpu",
-        )
-        for _ in range(3):  # successive steps advance both streams identically
-            for host, device in zip(cpu.weight_offsets(weights), gpu.weight_offsets(weights)):
-                assert isinstance(device, np.ndarray)
-                assert np.array_equal(device, host)
-
-    def test_rescaled_cached_draws_bit_identical_to_cpu(self):
-        weights = _weights()
-        kwargs = dict(draws=2, rng=9, reuse_draws=True, recompile_every=3)
-        cpu = NoiseInjector(UncertaintyModel.both(0.01), **kwargs)
-        gpu = NoiseInjector(UncertaintyModel.both(0.01), device="gpu", **kwargs)
-        for scale in (1.0, 0.5, 0.25, 1.0):
-            for host, device in zip(
-                cpu.weight_offsets(weights, sigma_scale=scale),
-                gpu.weight_offsets(weights, sigma_scale=scale),
-            ):
-                assert np.array_equal(device, host)
-
-    def test_training_step_mock_exact_vs_cpu(self):
-        """A full noise-aware fit lands on bit-identical weights."""
-        from repro.nn import Adam, TrainerConfig
-        from repro.onn import build_software_model
-        from repro.onn.spnn import SPNNArchitecture
-        from repro.training import NoiseAwareTrainer
-
-        arch = SPNNArchitecture(layer_dims=(6, 8, 5))
-        gen = np.random.default_rng(3)
-        x = gen.standard_normal((48, 6)) + 1j * gen.standard_normal((48, 6))
-        y = gen.integers(0, 5, 48)
-
-        def fit(device):
-            model = build_software_model(arch, rng=2)
-            injector = NoiseInjector(
-                UncertaintyModel.both(0.01),
-                draws=2,
-                recompile_every=2,
-                rng=7,
-                device=device,
-            )
-            trainer = NoiseAwareTrainer(
-                model,
-                Adam(model.parameters(), lr=0.02),
-                injector,
-                config=TrainerConfig(epochs=2, batch_size=16),
-                rng=0,
-            )
-            trainer.fit(x, y)
-            return model.state_dict(), trainer.history
-
-        cpu_state, cpu_history = fit(None)
-        gpu_state, gpu_history = fit("gpu")
-        assert set(cpu_state) == set(gpu_state)
-        for key in cpu_state:
-            assert np.array_equal(cpu_state[key], gpu_state[key])
-        assert cpu_history.train_loss == gpu_history.train_loss
-
-    def test_invalid_device_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NoiseInjector(UncertaintyModel.both(0.01), device="tpu")
-
-
 class TestValidation:
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):

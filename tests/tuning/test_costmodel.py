@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.arrays import HOST_BACKEND, get_array_backend
 from repro.arrays.sweep import SweepShape, select_sweep_kernel
 from repro.tuning import (
     CostTable,
@@ -195,11 +194,11 @@ class TestPolicy:
             }
         )
         install_table(table)
-        small = choose_kernel_name(HOST_BACKEND, SweepShape(8, 1, 8), ("fused", "looped"))
+        small = choose_kernel_name(SweepShape(8, 1, 8), ("fused", "looped"))
         assert small == "looped"
         # At the big shape fused wins — and since fused is already the
         # static head of the candidate list, the policy has no opinion.
-        big = choose_kernel_name(HOST_BACKEND, SweepShape(8, 1024, 8), ("fused", "looped"))
+        big = choose_kernel_name(SweepShape(8, 1024, 8), ("fused", "looped"))
         assert big is None
 
     def test_autotune_off_bypasses_table(self, monkeypatch):
@@ -207,16 +206,8 @@ class TestPolicy:
         install_table(table)
         monkeypatch.setenv("REPRO_AUTOTUNE", "off")
         assert (
-            choose_kernel_name(HOST_BACKEND, SweepShape(8, 1, 8), ("fused", "looped"))
+            choose_kernel_name(SweepShape(8, 1, 8), ("fused", "looped"))
             is None
-        )
-
-    def test_non_host_backend_never_steered(self):
-        table = _table({"looped": {("clements", 8, 1): 1e-9}})
-        install_table(table, backend_name="mock_device")
-        mock = get_array_backend("mock_device")
-        assert (
-            choose_kernel_name(mock, SweepShape(8, 1, 8), ("fused", "looped")) is None
         )
 
     def test_unpredicted_candidate_never_chosen(self):
@@ -224,7 +215,7 @@ class TestPolicy:
         install_table(table)
         # looped has no prediction; fused (static head) keeps the slot.
         assert (
-            choose_kernel_name(HOST_BACKEND, SweepShape(8, 1, 8), ("fused", "looped"))
+            choose_kernel_name(SweepShape(8, 1, 8), ("fused", "looped"))
             is None
         )
 
@@ -237,7 +228,7 @@ class TestPolicy:
         )
         install_table(table)
         monkeypatch.setenv("REPRO_SWEEP_KERNEL", "fused")
-        kernel = select_sweep_kernel(HOST_BACKEND, SweepShape(8, 1, 8))
+        kernel = select_sweep_kernel(SweepShape(8, 1, 8))
         assert kernel.name == "fused"
 
     def test_select_uses_table_with_shape_hint(self):
@@ -248,8 +239,8 @@ class TestPolicy:
             }
         )
         install_table(table)
-        assert select_sweep_kernel(HOST_BACKEND, SweepShape(8, 1, 8)).name == "looped"
-        assert select_sweep_kernel(HOST_BACKEND).name == "fused", (
+        assert select_sweep_kernel(SweepShape(8, 1, 8)).name == "looped"
+        assert select_sweep_kernel().name == "fused", (
             "unhinted selection keeps the static preference order"
         )
 
@@ -260,7 +251,7 @@ class TestPolicy:
         with pytest.warns(RuntimeWarning, match="unusable autotune cache"):
             assert ensure_table("numpy") is None
         # The failure is memoized: selection stays static, no more warnings.
-        assert select_sweep_kernel(HOST_BACKEND, SweepShape(8, 1, 8)).name == "fused"
+        assert select_sweep_kernel(SweepShape(8, 1, 8)).name == "fused"
         assert ensure_table("numpy") is None
 
     def test_stale_fingerprint_cache_warns_and_falls_back(self):
@@ -271,7 +262,7 @@ class TestPolicy:
         stale.save(path)
         with pytest.warns(RuntimeWarning, match="unusable autotune cache"):
             assert ensure_table("numpy") is None
-        assert select_sweep_kernel(HOST_BACKEND, SweepShape(8, 1, 8)).name == "fused"
+        assert select_sweep_kernel(SweepShape(8, 1, 8)).name == "fused"
 
     def test_feedback_refines_installed_table(self):
         from repro.arrays import apply_column_sweep

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arrays import HOST_BACKEND, apply_column_sweep
+from repro.arrays import apply_column_sweep
 from repro.arrays.sweep import SweepShape, available_sweep_kernels, select_sweep_kernel
 from repro.mesh.mesh import MZIMesh
 from repro.tuning import CostTable
@@ -37,8 +37,8 @@ def _sweep_inputs(mesh: MZIMesh, batch: int):
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.01), spawn_rngs(23, batch)
     )
-    components, _ = mesh._blocks_and_phases(perturbation, HOST_BACKEND)
-    program = mesh.column_program(HOST_BACKEND)
+    components, _ = mesh._blocks_and_phases(perturbation)
+    program = mesh.column_program()
     return program, tuple(c[..., program.perm] for c in components)
 
 
@@ -46,7 +46,7 @@ def _sweep(mesh: MZIMesh, program, components, batch: int, kernel=None):
     work = np.broadcast_to(
         np.eye(mesh.n, dtype=complex), (batch, mesh.n, mesh.n)
     ).copy()
-    apply_column_sweep(HOST_BACKEND, work, components, program, kernel=kernel)
+    apply_column_sweep(work, components, program, kernel=kernel)
     return work
 
 
@@ -55,7 +55,7 @@ def test_every_kernel_bit_identical_hinted_vs_pinned(scheme, monkeypatch):
     mesh = MZIMesh.from_unitary(random_unitary(6, rng=5), scheme=scheme)
     program, components = _sweep_inputs(mesh, batch=4)
     reference = _sweep(mesh, program, components, 4, kernel="looped")
-    for name in available_sweep_kernels(HOST_BACKEND):
+    for name in available_sweep_kernels():
         # explicit pin through the environment
         monkeypatch.setenv("REPRO_SWEEP_KERNEL", name)
         pinned = _sweep(mesh, program, components, 4)
@@ -76,7 +76,7 @@ def test_hinted_matches_unhinted_sweep():
     program, components = _sweep_inputs(mesh, batch=8)
     unhinted = _sweep(mesh, program, components, 8)
     hinted_kernel = select_sweep_kernel(
-        HOST_BACKEND, SweepShape(8, 8, program.num_columns, "clements")
+        SweepShape(8, 8, program.num_columns, "clements")
     )
     hinted = _sweep(mesh, program, components, 8, kernel=hinted_kernel)
     np.testing.assert_array_equal(hinted, unhinted)
@@ -85,11 +85,11 @@ def test_hinted_matches_unhinted_sweep():
 def test_steering_table_flips_choice_but_not_results(monkeypatch):
     target = random_unitary(6, rng=5)
     mesh = MZIMesh.from_unitary(target)
-    program = mesh.column_program(HOST_BACKEND)
+    program = mesh.column_program()
     shape = SweepShape(6, 1, program.num_columns, "clements")
 
     monkeypatch.setenv("REPRO_AUTOTUNE", "off")  # baseline: pure static order
-    baseline = select_sweep_kernel(HOST_BACKEND, shape)
+    baseline = select_sweep_kernel(shape)
     assert baseline.name == "fused", "static order picks fused before steering"
     before = mesh.matrix()
     monkeypatch.setenv("REPRO_AUTOTUNE", "on")
@@ -102,7 +102,7 @@ def test_steering_table_flips_choice_but_not_results(monkeypatch):
             table.record_grid("looped", "clements", n, batch, columns=n, seconds=1e-9)
     install_table(table)
 
-    steered = select_sweep_kernel(HOST_BACKEND, shape)
+    steered = select_sweep_kernel(shape)
     assert steered.name == "looped", "synthetic table must override the static order"
     after = mesh.matrix()
     np.testing.assert_array_equal(after, before)
@@ -115,7 +115,7 @@ def test_autotune_off_ignores_steering_table(monkeypatch):
     table.record_grid("looped", "clements", 6, 1, columns=6, seconds=1e-9)
     install_table(table)
     monkeypatch.setenv("REPRO_AUTOTUNE", "off")
-    assert select_sweep_kernel(HOST_BACKEND, SweepShape(6, 1, 11)).name == "fused"
+    assert select_sweep_kernel(SweepShape(6, 1, 11)).name == "fused"
 
 
 def test_pin_beats_steering_table(monkeypatch):
@@ -124,7 +124,7 @@ def test_pin_beats_steering_table(monkeypatch):
     table.record_grid("looped", "clements", 6, 1, columns=6, seconds=1e-9)
     install_table(table)
     monkeypatch.setenv("REPRO_SWEEP_KERNEL", "fused")
-    assert select_sweep_kernel(HOST_BACKEND, SweepShape(6, 1, 11)).name == "fused"
+    assert select_sweep_kernel(SweepShape(6, 1, 11)).name == "fused"
 
 
 def test_kernel_availability_probe_memoized():

@@ -8,6 +8,7 @@ from repro.mesh import MZIMesh
 from repro.photonics import constants
 from repro.utils import random_complex_matrix, random_unitary
 from repro.mesh.svd_layer import PhotonicLinearLayer
+from repro.training.workspace import VectorizedWorkspace
 from repro.variation import (
     UncertaintyModel,
     sample_diagonal_perturbation,
@@ -16,6 +17,7 @@ from repro.variation import (
     sample_network_perturbation,
     sample_single_mzi_perturbation,
 )
+from repro.variation.sampler import _draw_rows
 
 
 class TestUncertaintyModel:
@@ -141,3 +143,21 @@ class TestLayerAndNetworkSampler:
         ]
         network = sample_network_perturbation(layers, UncertaintyModel.both(0.05), rng=2)
         assert len(network) == 2
+
+
+class TestDrawRows:
+    """The batched samplers' draw matrix: row ``b`` from stream ``b``."""
+
+    def test_host_rows_bit_identical_to_plain_draws(self):
+        gens = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+        rows = _draw_rows(gens, 6)
+        expected = np.stack(
+            [np.random.default_rng(seed).standard_normal(6) for seed in (1, 2, 3)]
+        )
+        np.testing.assert_array_equal(rows, expected)
+
+    def test_workspace_buffer_is_filled(self):
+        workspace = VectorizedWorkspace()
+        rows = _draw_rows([np.random.default_rng(9)], 4, workspace=workspace, key="k")
+        assert np.shares_memory(rows, workspace.buffer(("k", "draws"), (1, 4)))
+        np.testing.assert_array_equal(rows[0], np.random.default_rng(9).standard_normal(4))
