@@ -264,9 +264,10 @@ class FusedSweepKernel(SweepKernel):
       columns (some Reck diagonals) gather/scatter through the packed
       ``rows`` map with one ``take`` and one fancy assignment.
 
-    The kernel additionally blocks the leading batch axis so one block's matrices (and scratch) stay cache-resident across
-    *all* columns of the sweep — the whole batch streams through memory
-    once instead of once per column.  Batch rows are independent and the
+    The kernel additionally blocks the leading batch axis so one block's
+    matrices (and scratch) stay cache-resident across *all* columns of the
+    sweep — the whole batch streams through memory once instead of once
+    per column.  Batch rows are independent and the
     per-row arithmetic is unchanged, so blocking never changes a value;
     at Monte Carlo scale (thousands of stacked realizations) it is where
     most of the megakernel speedup comes from.

@@ -77,7 +77,10 @@ class PerturbationBatchFields:
         for name in self._FIELDS:
             value = getattr(self, name)
             if value is not None:
-                return int(np.shape(value)[0])
+                shape = getattr(value, "shape", None)
+                if shape is None:
+                    shape = np.asarray(value).shape
+                return int(shape[0])
         raise ShapeError(f"empty {type(self).__name__} has no batch size")
 
     @classmethod

@@ -57,7 +57,7 @@ _MEMO_CAP = 4096
 # Per-backend memo: backend name -> CostTable, or None once a load/build
 # attempt failed (static fallback for the rest of the process).
 _TABLES: Dict[str, Optional[CostTable]] = {}
-_DECISIONS: Dict[Tuple[str, int, Tuple[int, int, int, Optional[str]], Tuple[str, ...]], Optional[str]] = {}
+_DECISIONS: Dict[Tuple[int, Tuple[int, int, int, Optional[str]], Tuple[str, ...]], Optional[str]] = {}
 _FEEDBACK_INSTALLED = False
 _CALIBRATING = False
 
@@ -190,7 +190,7 @@ def ensure_table(backend_name: str = "numpy") -> Optional[CostTable]:
     return table
 
 
-def choose_kernel_name(shape, candidates: Sequence[str], backend_name: str = "numpy") -> Optional[str]:
+def choose_kernel_name(shape, candidates: Sequence[str]) -> Optional[str]:
     """Pick the predicted-cheapest kernel for ``shape``, or ``None``.
 
     ``None`` means "no opinion — keep the static preference order": that
@@ -201,11 +201,10 @@ def choose_kernel_name(shape, candidates: Sequence[str], backend_name: str = "nu
     """
     if len(candidates) < 2 or not autotune_enabled():
         return None
-    table = ensure_table(backend_name)
+    table = ensure_table()
     if table is None:
         return None
     key = (
-        backend_name,
         table.generation,
         (int(shape.n), int(shape.batch), int(shape.columns), shape.scheme),
         tuple(candidates),

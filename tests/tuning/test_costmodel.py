@@ -4,7 +4,7 @@ Covers the :class:`CostTable` data model (grid recording, bilinear
 interpolation, observed-layer EWMA, JSON round-trip, corrupt/stale
 rejection), the cache-path/fingerprint plumbing, and the policy contract:
 ``REPRO_AUTOTUNE=off`` and ``REPRO_SWEEP_KERNEL`` pins bypass the table,
-non-host backends are never steered, ties keep the static order, and a
+ties keep the static order, and a
 corrupt on-disk cache falls back to the static preference *loudly*
 (``RuntimeWarning``) without ever crashing a sweep.
 """
