@@ -186,7 +186,7 @@ def record_mesh_megakernel() -> dict:
     """
     from scipy.stats import unitary_group
 
-    from repro.arrays import active_array_backend, apply_column_sweep, available_sweep_kernels
+    from repro.arrays import apply_column_sweep, available_sweep_kernels
     from repro.mesh.mesh import MZIMesh
     from repro.utils.rng import spawn_rngs
     from repro.variation.sampler import sample_mesh_perturbation_batch
@@ -196,9 +196,8 @@ def record_mesh_megakernel() -> dict:
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.01), spawn_rngs(11, batch)
     )
-    backend = active_array_backend()
-    components, _ = mesh._blocks_and_phases(perturbation, backend)
-    program = mesh.column_program(backend)
+    components, _ = mesh._blocks_and_phases(perturbation)
+    program = mesh.column_program()
     sorted_components = tuple(c[..., program.perm] for c in components)
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
     work = np.empty((batch, n, n), dtype=np.complex128)
@@ -208,13 +207,13 @@ def record_mesh_megakernel() -> dict:
         for _ in range(repeats):
             work[...] = eye
             start = time.perf_counter()
-            apply_column_sweep(backend, work, sorted_components, program, kernel=kernel)
+            apply_column_sweep(work, sorted_components, program, kernel=kernel)
             samples.append(time.perf_counter() - start)
         return float(np.median(samples))
 
     def sweep_result(kernel: str) -> np.ndarray:
         out = eye.copy()
-        apply_column_sweep(backend, out, sorted_components, program, kernel=kernel)
+        apply_column_sweep(out, sorted_components, program, kernel=kernel)
         return out
 
     bit_identical = bool(np.array_equal(sweep_result("looped"), sweep_result("fused")))
@@ -228,7 +227,7 @@ def record_mesh_megakernel() -> dict:
         "fused_seconds": fused,
         "speedup": looped / fused,
         "bit_identical": bit_identical,
-        "available_kernels": list(available_sweep_kernels(backend)),
+        "available_kernels": list(available_sweep_kernels()),
     }
 
 
@@ -351,14 +350,13 @@ def record_adaptive_dispatch() -> dict:
 
     from scipy.stats import unitary_group
 
-    from repro.arrays import HOST_BACKEND, apply_column_sweep
+    from repro.arrays import apply_column_sweep
     from repro.arrays.sweep import SweepShape, select_sweep_kernel
     from repro.tuning import install_table, reset_tuning_state, run_calibration
     from repro.utils.rng import spawn_rngs
     from repro.variation.sampler import sample_mesh_perturbation_batch
 
     shapes = ((8, 1), (8, 32), (16, 256), (32, 2048))
-    backend = HOST_BACKEND
     previous = os.environ.get("REPRO_AUTOTUNE")
     os.environ["REPRO_AUTOTUNE"] = "on"
     try:
@@ -375,7 +373,7 @@ def record_adaptive_dispatch() -> dict:
                 work[...] = eye
                 start = time.perf_counter()
                 for _ in range(iterations):
-                    apply_column_sweep(backend, work, components, program, kernel=kernel_name)
+                    apply_column_sweep(work, components, program, kernel=kernel_name)
                 samples.append((time.perf_counter() - start) / iterations)
             return float(np.median(samples))
 
@@ -388,18 +386,18 @@ def record_adaptive_dispatch() -> dict:
             perturbation = sample_mesh_perturbation_batch(
                 mesh, UncertaintyModel.both(0.01), spawn_rngs(11, batch)
             )
-            components, _ = mesh._blocks_and_phases(perturbation, backend)
-            program = mesh.column_program(backend)
+            components, _ = mesh._blocks_and_phases(perturbation)
+            program = mesh.column_program()
             components = tuple(c[..., program.perm] for c in components)
             eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
 
             os.environ["REPRO_AUTOTUNE"] = "off"
             static_name = select_sweep_kernel(
-                backend, SweepShape(n, batch, program.num_columns, "clements")
+                SweepShape(n, batch, program.num_columns, "clements")
             ).name
             os.environ["REPRO_AUTOTUNE"] = "on"
             chosen_name = select_sweep_kernel(
-                backend, SweepShape(n, batch, program.num_columns, "clements")
+                SweepShape(n, batch, program.num_columns, "clements")
             ).name
             static_seconds = sweep_seconds(static_name, program, components, eye, batch)
             chosen_seconds = (

@@ -210,7 +210,7 @@ def _run_calibrate() -> dict:
     print("calibrating sweep kernels (one-shot per-machine micro-benchmark)...")
     table = run_calibration(progress=lambda line: print(f"  {line}"))
     path = table.save(cache_path(table.fingerprint))
-    install_table(table, backend_name=table.backend)
+    install_table(table)
     print(f"\ncost table written to {path}")
     print(
         f"{sum(len(v) for v in table.grid.values())} grid points over "

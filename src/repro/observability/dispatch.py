@@ -19,8 +19,8 @@ Collectors are installed two ways:
   processes and inline alike — and ships the result back inside the
   chunk's telemetry frame.
 
-This module is numpy-free (it is imported by the numpy-free kernel
-registry) and never touches the swept arrays — only their shapes.
+This module is numpy-free (``tests/test_numpy_free_modules.py`` checks
+it) and never touches the swept arrays — only their shapes.
 """
 
 from __future__ import annotations

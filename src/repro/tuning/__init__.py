@@ -57,7 +57,7 @@ def run_calibration(*args, **kwargs):
     """Lazy re-export of :func:`repro.tuning.calibrate.run_calibration`.
 
     The calibration pulls in the mesh/scipy stack; importing it lazily
-    keeps ``repro.tuning`` importable from the numpy-free dispatch path.
+    keeps the dispatch-side modules of ``repro.tuning`` numpy-free.
     """
     from .calibrate import run_calibration as _run
 

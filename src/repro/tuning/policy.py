@@ -54,9 +54,10 @@ _LOCK_TIMEOUT_SECONDS = 300.0
 #: Decision-memo size cap; shapes repeat heavily so this rarely evicts.
 _MEMO_CAP = 4096
 
-# Per-backend memo: backend name -> CostTable, or None once a load/build
-# attempt failed (static fallback for the rest of the process).
-_TABLES: Dict[str, Optional[CostTable]] = {}
+# Process memo: the active CostTable, None once a load/build attempt
+# failed (static fallback for the rest of the process), or _UNTRIED.
+_UNTRIED = object()
+_TABLE: object = _UNTRIED
 _DECISIONS: Dict[Tuple[int, Tuple[int, int, int, Optional[str]], Tuple[str, ...]], Optional[str]] = {}
 _FEEDBACK_INSTALLED = False
 _CALIBRATING = False
@@ -64,8 +65,8 @@ _CALIBRATING = False
 
 def reset_tuning_state() -> None:
     """Forget memoized tables/decisions (tests and re-calibration)."""
-    global _FEEDBACK_INSTALLED
-    _TABLES.clear()
+    global _FEEDBACK_INSTALLED, _TABLE
+    _TABLE = _UNTRIED
     _DECISIONS.clear()
     if _FEEDBACK_INSTALLED:
         from ..observability import dispatch
@@ -88,7 +89,7 @@ def _install_feedback() -> None:
     from ..observability import dispatch
 
     def _sink(backend: str, kernel: str, n: int, batch: int, columns: int, seconds: float) -> None:
-        table = _TABLES.get(backend)
+        table = active_table()
         if table is not None:
             table.observe(kernel, n, batch, columns, seconds)
 
@@ -96,17 +97,18 @@ def _install_feedback() -> None:
     _FEEDBACK_INSTALLED = True
 
 
-def install_table(table: CostTable, backend_name: str = "numpy") -> None:
-    """Activate ``table`` for ``backend_name`` dispatch (tests, benchmarks,
-    and the CLI after an explicit calibration)."""
-    _TABLES[backend_name] = table
+def install_table(table: CostTable) -> None:
+    """Activate ``table`` for kernel dispatch (tests, benchmarks, and the
+    CLI after an explicit calibration)."""
+    global _TABLE
+    _TABLE = table
     _DECISIONS.clear()
     _install_feedback()
 
 
-def active_table(backend_name: str = "numpy") -> Optional[CostTable]:
-    """The table currently steering ``backend_name`` dispatch, if any."""
-    return _TABLES.get(backend_name)
+def active_table() -> Optional[CostTable]:
+    """The table currently steering kernel dispatch, if any."""
+    return None if _TABLE is _UNTRIED else _TABLE
 
 
 def _lazy_calibrate(path) -> Optional[CostTable]:
@@ -153,16 +155,16 @@ def _lazy_calibrate(path) -> Optional[CostTable]:
             pass
 
 
-def ensure_table(backend_name: str = "numpy") -> Optional[CostTable]:
-    """Load (or lazily build) the cost table for ``backend_name``.
+def ensure_table() -> Optional[CostTable]:
+    """Load (or lazily build) the machine's cost table.
 
     Memoized per process — including the *failed* outcome, so a corrupt
     cache warns once and the process stays on the static order rather
     than re-parsing the bad file on every dispatch.
     """
-    global _CALIBRATING
-    if backend_name in _TABLES:
-        return _TABLES[backend_name]
+    global _CALIBRATING, _TABLE
+    if _TABLE is not _UNTRIED:
+        return _TABLE
     if _CALIBRATING:
         # A sweep dispatched *by* the calibration itself (mesh builds
         # verify via matrix()) must not recurse into another calibration;
@@ -184,7 +186,7 @@ def ensure_table(backend_name: str = "numpy") -> Optional[CostTable]:
             table = None
     else:
         table = _lazy_calibrate(path)
-    _TABLES[backend_name] = table
+    _TABLE = table
     if table is not None:
         _install_feedback()
     return table
@@ -227,7 +229,7 @@ def choose_kernel_name(shape, candidates: Sequence[str]) -> Optional[str]:
     return best_name
 
 
-def tuning_status(backend_name: str = "numpy") -> Dict[str, object]:
+def tuning_status() -> Dict[str, object]:
     """Diagnostics for ``spnn-repro info``: cache state without side
     effects (never triggers a lazy calibration)."""
     fingerprint = _host_fingerprint()
@@ -236,11 +238,11 @@ def tuning_status(backend_name: str = "numpy") -> Dict[str, object]:
         "enabled": autotune_enabled(),
         "cache_path": str(path),
         "cached": path.exists(),
-        "loaded": _TABLES.get(backend_name) is not None,
+        "loaded": active_table() is not None,
         "grid_points": 0,
         "observed_shapes": 0,
     }
-    table = _TABLES.get(backend_name)
+    table = active_table()
     if table is None and path.exists():
         try:
             table = CostTable.load(path, expected_fingerprint=fingerprint)

@@ -249,10 +249,10 @@ class TestPolicy:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{definitely not json")
         with pytest.warns(RuntimeWarning, match="unusable autotune cache"):
-            assert ensure_table("numpy") is None
+            assert ensure_table() is None
         # The failure is memoized: selection stays static, no more warnings.
         assert select_sweep_kernel(SweepShape(8, 1, 8)).name == "fused"
-        assert ensure_table("numpy") is None
+        assert ensure_table() is None
 
     def test_stale_fingerprint_cache_warns_and_falls_back(self):
         stale = CostTable(fingerprint={"machine": "somewhere-else"})
@@ -261,7 +261,7 @@ class TestPolicy:
         path.parent.mkdir(parents=True, exist_ok=True)
         stale.save(path)
         with pytest.warns(RuntimeWarning, match="unusable autotune cache"):
-            assert ensure_table("numpy") is None
+            assert ensure_table() is None
         assert select_sweep_kernel(SweepShape(8, 1, 8)).name == "fused"
 
     def test_feedback_refines_installed_table(self):
